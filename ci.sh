@@ -16,6 +16,22 @@ cargo build --offline --release --workspace
 echo "==> cargo test"
 cargo test --offline --quiet --workspace
 
+echo "==> perfbench tests (its own workspace, which --workspace skips)"
+cargo test --offline --quiet --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench sweep_replay smoke (32 pinned sweep cells, replay = live)"
+# The last line of perfbench's output is its JSON result; "correct" is
+# false when any pin or replay check failed.
+result="$(cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload sweep_replay --seed 0 --seconds 1 | tail -n 1)"
+case "$result" in
+    '{"correct": true,'*) ;;
+    *)
+        echo "perfbench sweep_replay smoke failed: ${result:0:200}"
+        exit 1
+        ;;
+esac
+
 echo "==> simcheck --seeds 64 (differential fuzzing smoke)"
 cargo run --offline --release --example simcheck -- \
     --seeds 64 --json-seeds 256 --serve-seeds 8 --trace-seeds 8 --reorder-seeds 8 \

@@ -385,6 +385,68 @@ mod tests {
         replay_mshr(64, &ops).unwrap(); // roomy: pure merge/expiry path
     }
 
+    /// `per_home` lines on each of five home slots, congruent modulo
+    /// 2^16 and so modulo any power-of-two line index up to that size:
+    /// the last two slots of the index, the first two and the middle
+    /// one. The chains of the first four wrap past the table's end and
+    /// interleave, so removing an entry mid-chain must shift later
+    /// entries back, past entries that stay at home. On a large index
+    /// the middle home is a second cluster: a line filled there leaves
+    /// a hole in the wrapped one that only the shift can close.
+    fn colliding_lines(per_home: u64) -> Vec<u64> {
+        const STRIDE: u64 = 1 << 16;
+        [STRIDE - 2, STRIDE - 1, 0, 1, STRIDE / 2]
+            .into_iter()
+            .flat_map(|home| (0..per_home).map(move |k| home + k * STRIDE))
+            .collect()
+    }
+
+    #[test]
+    fn cache_replay_agrees_on_index_collisions() {
+        // The Table 1 L1: 64 KB, fully associative, 128 B lines (512
+        // ways). Twice as many colliding lines as ways, a third of the
+        // accesses on a hot few of the middle home: hits there, and
+        // LRU victims anywhere in the wrapped chains.
+        let mut rng = StdRng::seed_from_u64(14);
+        let lines = colliding_lines(205);
+        let hot = &lines[lines.len() - 64..];
+        let trace: Vec<u64> = (0..6_000)
+            .map(|i| {
+                let pool = if i % 3 == 0 { hot } else { &lines[..] };
+                pool[rng.random_range(0..pool.len())] * 128
+            })
+            .collect();
+        replay_cache(64 * 1024, 0, 128, &trace).unwrap();
+    }
+
+    #[test]
+    fn mshr_replay_agrees_on_index_collisions() {
+        // The Table 1 L1 and L2 MSHR sizes, over 2.5 times as many
+        // colliding lines, with fill latencies long enough to fill the
+        // table: releases on expiry and evictions mid-chain.
+        let mut rng = StdRng::seed_from_u64(15);
+        for capacity in [32usize, 128] {
+            let lines = colliding_lines(capacity as u64 / 2);
+            let mut now = 0u64;
+            let ops: Vec<MshrOp> = (0..6_000)
+                .map(|_| {
+                    now += rng.random_range(0u64..8);
+                    let line = lines[rng.random_range(0..lines.len())];
+                    if rng.random_range(0u32..3) == 0 {
+                        MshrOp::Insert {
+                            line,
+                            done: now + rng.random_range(1..30 * capacity as u64),
+                            now,
+                        }
+                    } else {
+                        MshrOp::Lookup { line, now }
+                    }
+                })
+                .collect();
+            replay_mshr(capacity, &ops).unwrap();
+        }
+    }
+
     #[test]
     fn calendar_replay_agrees_on_bursty_schedules() {
         let mut rng = StdRng::seed_from_u64(13);

@@ -1,12 +1,34 @@
-//! Set-associative / fully-associative LRU caches over flat way arrays.
+//! Set-associative / fully-associative LRU caches with O(1) line
+//! operations at any associativity.
 //!
-//! The tag store is two dense arrays (`tags`, `stamps`) indexed by
-//! `set * ways + way` — a hit is a linear tag probe over the set's ways
-//! and an eviction is an `O(ways)` min-stamp scan. No maps, no
-//! per-access allocation: the host-side representation is cache-friendly
-//! while the *modelled* behaviour (true LRU over unique stamps) is
-//! bitwise identical to the previous map-based implementation, which is
-//! what the golden-cycles regression suite pins down.
+//! The way array is flat (`lines`, indexed `set * ways + way`), and two
+//! host-side structures keep every access O(1), even on the 512-way
+//! fully associative Table 1 L1, where a scan of the set's ways would
+//! dominate the simulator's host time:
+//!
+//! - a [`LineIndex`], an open-addressing table from line to way, finds
+//!   a line's way;
+//! - an intrusive recency ring per set (`newer`/`older` way links, with
+//!   the set's LRU way as its head) makes a hit an unlink-relink and an
+//!   eviction an advance of the head.
+//!
+//! A set's empty ways fill in ascending order, and once it is full the
+//! victim is its exact LRU way, so every hit/miss decision is bitwise
+//! identical to the map-based reference model in
+//! `cooprt_check::oracle`; the golden-cycles suite pins that down.
+//!
+//! **Footprint.** The HTTP service builds a whole hierarchy (per-SM L1s
+//! plus a 3 MB L2) for every job, so construction must stay cheap and
+//! small:
+//!
+//! - every array is a zero-filled allocation with no eager fill, and
+//!   stored values are offset by one wherever `0` must mean "empty". A
+//!   fresh cache costs the allocator a zeroed region, not a fill of its
+//!   whole state, and only the pages a job touches become resident;
+//! - a way costs an 8 B line, two 4 B ring links and its share of 4 B
+//!   index slots (2 slots per way on the Table 1 L1, 1.33 on its L2):
+//!   24 B and 21.3 B, plus 8 B per set. Keep it within 24 B: it is
+//!   allocated again for every job.
 
 /// Hit/miss counters of one cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -33,6 +55,92 @@ impl CacheStats {
     }
 }
 
+/// An open-addressing index from line to position in a flat table, for
+/// [`Cache`] and [`crate::Mshr`].
+///
+/// The owner stores each entry's key, `line + 1`, in its own array at
+/// the entry's position (so a zero-filled array is all empty); a slot
+/// holds `position + 1`, `0` marking an empty slot, and a probe checks
+/// the key through the owner's array. Probing is linear from the home
+/// slot, the line's low bits. The slot count is a power of two at load
+/// ≤ 0.75, so every probe chain ends at an empty slot. Removal shifts
+/// later entries of the chain back into the hole instead of leaving a
+/// tombstone, so chains stay short however long the table lives.
+#[derive(Clone, Debug)]
+pub(crate) struct LineIndex {
+    slots: Box<[u32]>,
+    mask: usize,
+}
+
+impl LineIndex {
+    /// An empty index for up to `entries` positions.
+    pub(crate) fn new(entries: usize) -> Self {
+        assert!(
+            entries < u32::MAX as usize,
+            "index positions must fit a u32"
+        );
+        let len = (entries * 4).div_ceil(3).next_power_of_two();
+        LineIndex {
+            slots: vec![0; len].into_boxed_slice(),
+            mask: len - 1,
+        }
+    }
+
+    /// The home slot of `key`'s line.
+    fn home(&self, key: u64) -> usize {
+        (key - 1) as usize & self.mask
+    }
+
+    /// The position whose key in `keys` is `key`, if it is indexed.
+    pub(crate) fn find(&self, keys: &[u64], key: u64) -> Option<usize> {
+        let mut i = self.home(key);
+        loop {
+            let slot = self.slots[i] as usize;
+            if slot == 0 {
+                return None;
+            }
+            if keys[slot - 1] == key {
+                return Some(slot - 1);
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
+    /// Indexes position `pos` under `key`, which must not be indexed.
+    pub(crate) fn insert(&mut self, key: u64, pos: usize) {
+        let mut i = self.home(key);
+        while self.slots[i] != 0 {
+            i = (i + 1) & self.mask;
+        }
+        self.slots[i] = pos as u32 + 1;
+    }
+
+    /// Unindexes position `pos`, whose key `keys[pos]` must still hold.
+    pub(crate) fn remove(&mut self, keys: &[u64], pos: usize) {
+        let mask = self.mask;
+        let mut hole = self.home(keys[pos]);
+        while self.slots[hole] as usize != pos + 1 {
+            hole = (hole + 1) & mask;
+        }
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let slot = self.slots[i];
+            if slot == 0 {
+                break;
+            }
+            // The entry at `i` moves into the hole unless its home lies
+            // cyclically after the hole, in `(hole, i]`.
+            let home = self.home(keys[slot as usize - 1]);
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = slot;
+                hole = i;
+            }
+        }
+        self.slots[hole] = 0;
+    }
+}
+
 /// An LRU cache over fixed-size lines.
 ///
 /// # Examples
@@ -50,16 +158,26 @@ impl CacheStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cache {
-    /// Way tags, `set * ways + way`; meaningful only where the matching
-    /// stamp is non-zero.
-    tags: Box<[u64]>,
-    /// Last-use stamps, same indexing; `0` marks an empty way (real
-    /// stamps start at 1).
-    stamps: Box<[u64]>,
+    /// The line each way holds, plus one (`0` marks an empty way),
+    /// `set * ways + way`.
+    lines: Box<[u64]>,
+    /// Per way, same indexing: the next more recently used way of its
+    /// set, as a way number within the set. The links form a ring over
+    /// the set's filled ways; the MRU way's `newer` is the LRU way.
+    newer: Box<[u32]>,
+    /// Per way: the next less recently used way of its set (the LRU
+    /// way's `older` is the MRU way).
+    older: Box<[u32]>,
+    /// Per set: its LRU way, the head of its ring.
+    lru: Box<[u32]>,
+    /// Per set: how many of its ways are filled (always the lowest
+    /// ones). With everything zero, each set's ring is way 0 alone,
+    /// which is the ring its first fill needs.
+    filled: Box<[u32]>,
+    index: LineIndex,
     set_count: u64,
     ways: usize,
     line_bytes: u32,
-    stamp: u64,
     stats: CacheStats,
 }
 
@@ -83,13 +201,17 @@ impl Cache {
             (total_lines / assoc, assoc)
         };
         assert!(set_count > 0);
+        let way_count = set_count * ways;
         Cache {
-            tags: vec![0; set_count * ways].into_boxed_slice(),
-            stamps: vec![0; set_count * ways].into_boxed_slice(),
+            lines: vec![0; way_count].into_boxed_slice(),
+            newer: vec![0; way_count].into_boxed_slice(),
+            older: vec![0; way_count].into_boxed_slice(),
+            lru: vec![0; set_count].into_boxed_slice(),
+            filled: vec![0; set_count].into_boxed_slice(),
+            index: LineIndex::new(way_count),
             set_count: set_count as u64,
             ways,
             line_bytes,
-            stamp: 0,
             stats: CacheStats::default(),
         }
     }
@@ -99,38 +221,65 @@ impl Cache {
     /// evicting the set's LRU line if needed.
     pub fn access_line(&mut self, line_addr: u64) -> bool {
         let line = line_addr / self.line_bytes as u64;
+        let key = line + 1;
         let set = (line % self.set_count) as usize;
-        let tag = line / self.set_count;
-        self.stamp += 1;
-        self.stats.accesses += 1;
         let base = set * self.ways;
-        let tags = &mut self.tags[base..base + self.ways];
-        let stamps = &mut self.stamps[base..base + self.ways];
-        // Linear tag probe (tags are unique within a set).
-        for (t, s) in tags.iter().zip(stamps.iter_mut()) {
-            if *s != 0 && *t == tag {
-                *s = self.stamp;
-                self.stats.hits += 1;
-                return true;
-            }
+        self.stats.accesses += 1;
+        if let Some(pos) = self.index.find(&self.lines, key) {
+            self.stats.hits += 1;
+            self.touch(set, (pos - base) as u32);
+            return true;
         }
-        // Miss: fill an empty way, else evict the LRU way (minimum
-        // stamp; stamps are unique, so the victim is deterministic).
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for (w, s) in stamps.iter().enumerate() {
-            if *s == 0 {
-                victim = w;
-                break;
+        // Miss: fill the set's next empty way, else evict its LRU way.
+        let filled = self.filled[set];
+        let way = if (filled as usize) < self.ways {
+            self.filled[set] += 1;
+            if filled > 0 {
+                self.link_mru(set, filled);
             }
-            if *s < oldest {
-                oldest = *s;
-                victim = w;
-            }
-        }
-        tags[victim] = tag;
-        stamps[victim] = self.stamp;
+            filled
+        } else {
+            let lru = self.lru[set];
+            self.index.remove(&self.lines, base + lru as usize);
+            // Advancing the head makes the old LRU way the MRU one.
+            self.lru[set] = self.newer[base + lru as usize];
+            lru
+        };
+        let pos = base + way as usize;
+        self.lines[pos] = key;
+        self.index.insert(key, pos);
         false
+    }
+
+    /// Makes filled way `way` of `set` its MRU way.
+    fn touch(&mut self, set: usize, way: u32) {
+        let base = set * self.ways;
+        let lru = self.lru[set];
+        if way == lru {
+            self.lru[set] = self.newer[base + way as usize];
+            return;
+        }
+        if way == self.older[base + lru as usize] {
+            return;
+        }
+        let (older, newer) = (
+            self.older[base + way as usize],
+            self.newer[base + way as usize],
+        );
+        self.newer[base + older as usize] = newer;
+        self.older[base + newer as usize] = older;
+        self.link_mru(set, way);
+    }
+
+    /// Links `way`, which is not in `set`'s ring, in as its MRU way.
+    fn link_mru(&mut self, set: usize, way: u32) {
+        let base = set * self.ways;
+        let lru = self.lru[set];
+        let mru = self.older[base + lru as usize];
+        self.older[base + way as usize] = mru;
+        self.newer[base + way as usize] = lru;
+        self.newer[base + mru as usize] = way;
+        self.older[base + lru as usize] = way;
     }
 
     /// The line size in bytes.
@@ -149,13 +298,6 @@ impl Cache {
     /// Hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Clears contents and counters.
-    pub fn reset(&mut self) {
-        self.stamps.fill(0);
-        self.stamp = 0;
-        self.stats = CacheStats::default();
     }
 }
 
@@ -238,13 +380,23 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_contents_and_stats() {
-        let mut c = Cache::new(256, 0, 64);
-        c.access_line(0);
-        c.access_line(0);
-        c.reset();
-        assert_eq!(c.stats(), CacheStats::default());
-        assert!(!c.access_line(0), "contents must be cold after reset");
+    fn line_index_chains_wrap_and_shift_back() {
+        // Eight slots. Lines 7, 15 and 23 share home slot 7, so their
+        // chain wraps past the end; line 1 sits at home in between.
+        let mut keys = [7u64, 15, 1, 23].map(|line| line + 1);
+        let mut index = LineIndex::new(keys.len());
+        for (pos, &key) in keys.iter().enumerate() {
+            index.insert(key, pos);
+        }
+        // Freeing line 15's slot 0 must pull line 23 back into it past
+        // line 1, which stays at home.
+        index.remove(&keys, 1);
+        keys[1] = 0;
+        assert_eq!(index.find(&keys, 16), None);
+        for (pos, &key) in keys.iter().enumerate().filter(|(_, &k)| k != 0) {
+            assert_eq!(index.find(&keys, key), Some(pos));
+        }
+        assert_eq!(index.slots[..3], [4, 3, 0]);
     }
 
     #[test]

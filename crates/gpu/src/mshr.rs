@@ -7,13 +7,17 @@
 //! whenever different warps (or SMs, at the L2) chase the same subtree.
 //!
 //! The table is a fixed-capacity slot array (`lines`/`done` parallel
-//! arrays plus a free list) — like the hardware it models, and unlike
-//! the previous `HashMap`, it performs no per-access hashing or
-//! allocation. Lookups are a linear scan over at most `capacity` slots
-//! (32 at the L1, 128 at the L2 — a handful of cache lines of host
-//! memory). Merge/allocate/eviction behaviour is bitwise identical to
-//! the map-based model, including the deterministic line-index
-//! tie-break for equal completion times.
+//! arrays plus a free list), like the hardware it models. A line → slot
+//! [`LineIndex`] (the same open-addressing table the caches use, keyed
+//! through `lines`) makes `lookup` and the insert-overwrite check O(1);
+//! only the reclaim and evict passes scan the slots, and they run only
+//! when the table is full. Lines are stored plus one, so a zero-filled
+//! array is an empty table. Merge/allocate/eviction behaviour is
+//! bitwise identical to the map-based model in `cooprt_check::oracle`,
+//! including the deterministic line-index tie-break for equal
+//! completion times.
+
+use crate::cache::LineIndex;
 
 /// Counters of MSHR behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -23,8 +27,6 @@ pub struct MshrStats {
     /// Misses merged into an in-flight fill.
     pub merges: u64,
 }
-
-const EMPTY: u64 = u64::MAX;
 
 /// A table of in-flight line fills: line index → completion cycle.
 ///
@@ -43,10 +45,12 @@ const EMPTY: u64 = u64::MAX;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Mshr {
-    /// Line index per slot; [`EMPTY`] marks a free slot.
+    /// Line per slot, plus one; `0` marks a free slot.
     lines: Box<[u64]>,
     /// Completion cycle per slot (meaningful only for occupied slots).
     done: Box<[u64]>,
+    /// Line → slot index over the occupied slots.
+    index: LineIndex,
     /// Indices of free slots.
     free: Vec<u32>,
     stats: MshrStats,
@@ -61,8 +65,9 @@ impl Mshr {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR table needs at least one entry");
         Mshr {
-            lines: vec![EMPTY; capacity].into_boxed_slice(),
+            lines: vec![0; capacity].into_boxed_slice(),
             done: vec![0; capacity].into_boxed_slice(),
+            index: LineIndex::new(capacity),
             free: (0..capacity as u32).rev().collect(),
             stats: MshrStats::default(),
         }
@@ -70,19 +75,14 @@ impl Mshr {
 
     /// If a fill for `line` is in flight at time `now`, returns its
     /// completion cycle (a merge). Expired entries are evicted lazily.
+    /// `u64::MAX` is not a valid line.
     pub fn lookup(&mut self, line: u64, now: u64) -> Option<u64> {
-        debug_assert_ne!(line, EMPTY, "line index collides with the free marker");
-        for i in 0..self.lines.len() {
-            if self.lines[i] == line {
-                if self.done[i] > now {
-                    self.stats.merges += 1;
-                    return Some(self.done[i]);
-                }
-                self.lines[i] = EMPTY;
-                self.free.push(i as u32);
-                return None;
-            }
+        let slot = self.index.find(&self.lines, line + 1)?;
+        if self.done[slot] > now {
+            self.stats.merges += 1;
+            return Some(self.done[slot]);
         }
+        self.release(slot);
         None
     }
 
@@ -100,33 +100,37 @@ impl Mshr {
         if self.free.is_empty() {
             // Reclaim completed fills.
             for i in 0..self.lines.len() {
-                if self.lines[i] != EMPTY && self.done[i] <= now {
-                    self.lines[i] = EMPTY;
-                    self.free.push(i as u32);
+                if self.lines[i] != 0 && self.done[i] <= now {
+                    self.release(i);
                 }
             }
         }
         if self.free.is_empty() {
-            // All pending: drop the earliest-completing entry, line
-            // index breaking ties.
+            // All pending, every slot occupied: drop the
+            // earliest-completing entry, line index breaking ties.
             let victim = (0..self.lines.len())
-                .filter(|&i| self.lines[i] != EMPTY)
                 .min_by_key(|&i| (self.done[i], self.lines[i]))
                 .expect("full table has occupied slots");
-            self.lines[victim] = EMPTY;
-            self.free.push(victim as u32);
+            self.release(victim);
         }
         // Update in place if the line is already tracked (matches the
         // map-based model's insert-overwrite semantics).
-        for i in 0..self.lines.len() {
-            if self.lines[i] == line {
-                self.done[i] = done;
-                return;
-            }
+        let key = line + 1;
+        if let Some(slot) = self.index.find(&self.lines, key) {
+            self.done[slot] = done;
+            return;
         }
         let slot = self.free.pop().expect("a free slot was ensured above") as usize;
-        self.lines[slot] = line;
+        self.lines[slot] = key;
         self.done[slot] = done;
+        self.index.insert(key, slot);
+    }
+
+    /// Frees occupied slot `slot`.
+    fn release(&mut self, slot: usize) {
+        self.index.remove(&self.lines, slot);
+        self.lines[slot] = 0;
+        self.free.push(slot as u32);
     }
 
     /// MSHR counters.
