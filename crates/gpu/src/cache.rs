@@ -260,7 +260,7 @@ impl Cache {
             return;
         }
         if way == self.older[base + lru as usize] {
-            return;
+            return; // already the MRU way
         }
         let (older, newer) = (
             self.older[base + way as usize],
