@@ -1,10 +1,10 @@
 //! Set-associative / fully-associative LRU caches with O(1) line
 //! operations at any associativity.
 //!
-//! The way array is flat (`lines`, indexed `set * ways + way`), and two
-//! host-side structures keep every access O(1), even on the 512-way
-//! fully associative Table 1 L1, where a scan of the set's ways would
-//! dominate the simulator's host time:
+//! The way arrays are flat, one block of `ways` consecutive ways per
+//! set (`lines[base + way]`), and two host-side structures keep every
+//! access O(1), even on the 512-way fully associative Table 1 L1, where
+//! a scan of the set's ways would dominate the simulator's host time:
 //!
 //! - a [`LineIndex`], an open-addressing table from line to way, finds
 //!   a line's way;
@@ -18,17 +18,22 @@
 //! `cooprt_check::oracle`; the golden-cycles suite pins that down.
 //!
 //! **Footprint.** The HTTP service builds a whole hierarchy (per-SM L1s
-//! plus a 3 MB L2) for every job, so construction must stay cheap and
-//! small:
+//! plus a 3 MB L2) for every job, and a small job fills a few hundred
+//! lines of it, so what a cache writes must follow the sets it fills,
+//! not its capacity:
 //!
-//! - every array is a zero-filled allocation with no eager fill, and
-//!   stored values are offset by one wherever `0` must mean "empty". A
-//!   fresh cache costs the allocator a zeroed region, not a fill of its
-//!   whole state, and only the pages a job touches become resident;
-//! - a way costs an 8 B line, two 4 B ring links and its share of 4 B
-//!   index slots (2 slots per way on the Table 1 L1, 1.33 on its L2):
-//!   24 B and 21.3 B, plus 8 B per set. Keep it within 24 B: it is
-//!   allocated again for every job.
+//! - construction writes only the per-set counters. The way arrays are
+//!   reserved at full capacity, a set's block is appended zero-filled
+//!   when the set first fills, and the index starts empty and doubles as
+//!   it loads. Stored values are offset by one wherever `0` must mean
+//!   "empty". Any table written at its full size would cost every job a
+//!   memset of ~0.5 MB of L2 state and, once the allocator has handed
+//!   the freed pages back to the kernel between jobs, a page fault per
+//!   4 KB of it;
+//! - a full cache costs an 8 B line, two 4 B ring links and its share
+//!   of 4 B index slots per way (2 slots per way on the Table 1 L1, 1.33
+//!   on its L2): 24 B and 21.3 B, plus 12 B per set. Keep it within
+//!   24 B: the service allocates it again for every job.
 
 /// Hit/miss counters of one cache.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -63,17 +68,21 @@ impl CacheStats {
 /// holds `position + 1`, `0` marking an empty slot, and a probe checks
 /// the key through the owner's array. Probing is linear from the home
 /// slot, the line's low bits. The slot count is a power of two at load
-/// ≤ 0.75, so every probe chain ends at an empty slot. Removal shifts
-/// later entries of the chain back into the hole instead of leaving a
-/// tombstone, so chains stay short however long the table lives.
+/// ≤ 0.75, doubling on the insert that would pass it, so every probe
+/// chain ends at an empty slot. Removal shifts later entries of the
+/// chain back into the hole instead of leaving a tombstone, so chains
+/// stay short however long the table lives.
 #[derive(Clone, Debug)]
 pub(crate) struct LineIndex {
     slots: Box<[u32]>,
     mask: usize,
+    /// Indexed positions.
+    len: usize,
 }
 
 impl LineIndex {
-    /// An empty index for up to `entries` positions.
+    /// An empty index with room for `entries` positions before it
+    /// first doubles.
     pub(crate) fn new(entries: usize) -> Self {
         assert!(
             entries < u32::MAX as usize,
@@ -83,6 +92,7 @@ impl LineIndex {
         LineIndex {
             slots: vec![0; len].into_boxed_slice(),
             mask: len - 1,
+            len: 0,
         }
     }
 
@@ -107,7 +117,17 @@ impl LineIndex {
     }
 
     /// Indexes position `pos` under `key`, which must not be indexed.
-    pub(crate) fn insert(&mut self, key: u64, pos: usize) {
+    /// `keys` must hold the key of every indexed position.
+    pub(crate) fn insert(&mut self, keys: &[u64], key: u64, pos: usize) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            self.grow(keys);
+        }
+        self.len += 1;
+        self.place(key, pos);
+    }
+
+    /// Puts `pos` in the first empty slot of `key`'s chain.
+    fn place(&mut self, key: u64, pos: usize) {
         let mut i = self.home(key);
         while self.slots[i] != 0 {
             i = (i + 1) & self.mask;
@@ -115,8 +135,20 @@ impl LineIndex {
         self.slots[i] = pos as u32 + 1;
     }
 
+    /// Doubles the slot count and re-places every indexed position.
+    fn grow(&mut self, keys: &[u64]) {
+        let len = self.slots.len() * 2;
+        let old = std::mem::replace(&mut self.slots, vec![0; len].into_boxed_slice());
+        self.mask = len - 1;
+        for &slot in old.iter().filter(|&&slot| slot != 0) {
+            let pos = slot as usize - 1;
+            self.place(keys[pos], pos);
+        }
+    }
+
     /// Unindexes position `pos`, whose key `keys[pos]` must still hold.
     pub(crate) fn remove(&mut self, keys: &[u64], pos: usize) {
+        self.len -= 1;
         let mask = self.mask;
         let mut hole = self.home(keys[pos]);
         while self.slots[hole] as usize != pos + 1 {
@@ -158,21 +190,25 @@ impl LineIndex {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Cache {
-    /// The line each way holds, plus one (`0` marks an empty way),
-    /// `set * ways + way`.
-    lines: Box<[u64]>,
+    /// The line each way holds, plus one (`0` marks an empty way), at
+    /// `base + way`, where `base` is its set's block.
+    lines: Vec<u64>,
     /// Per way, same indexing: the next more recently used way of its
     /// set, as a way number within the set. The links form a ring over
     /// the set's filled ways; the MRU way's `newer` is the LRU way.
-    newer: Box<[u32]>,
+    newer: Vec<u32>,
     /// Per way: the next less recently used way of its set (the LRU
     /// way's `older` is the MRU way).
-    older: Box<[u32]>,
+    older: Vec<u32>,
+    /// Per set: where its block of `ways` ways starts. Blocks are
+    /// appended, zero-filled, in the order sets first fill; a set that
+    /// has never filled has no block (and `base` 0).
+    base: Box<[u32]>,
     /// Per set: its LRU way, the head of its ring.
     lru: Box<[u32]>,
     /// Per set: how many of its ways are filled (always the lowest
-    /// ones). With everything zero, each set's ring is way 0 alone,
-    /// which is the ring its first fill needs.
+    /// ones). In a fresh block each set's ring is way 0 alone, which is
+    /// the ring its first fill needs.
     filled: Box<[u32]>,
     index: LineIndex,
     set_count: u64,
@@ -202,13 +238,18 @@ impl Cache {
         };
         assert!(set_count > 0);
         let way_count = set_count * ways;
+        assert!(
+            way_count < u32::MAX as usize,
+            "way positions must fit a u32"
+        );
         Cache {
-            lines: vec![0; way_count].into_boxed_slice(),
-            newer: vec![0; way_count].into_boxed_slice(),
-            older: vec![0; way_count].into_boxed_slice(),
+            lines: Vec::with_capacity(way_count),
+            newer: Vec::with_capacity(way_count),
+            older: Vec::with_capacity(way_count),
+            base: vec![0; set_count].into_boxed_slice(),
             lru: vec![0; set_count].into_boxed_slice(),
             filled: vec![0; set_count].into_boxed_slice(),
-            index: LineIndex::new(way_count),
+            index: LineIndex::new(0),
             set_count: set_count as u64,
             ways,
             line_bytes,
@@ -223,19 +264,24 @@ impl Cache {
         let line = line_addr / self.line_bytes as u64;
         let key = line + 1;
         let set = (line % self.set_count) as usize;
-        let base = set * self.ways;
         self.stats.accesses += 1;
         if let Some(pos) = self.index.find(&self.lines, key) {
             self.stats.hits += 1;
-            self.touch(set, (pos - base) as u32);
+            let base = self.base[set] as usize;
+            self.touch(set, base, (pos - base) as u32);
             return true;
         }
         // Miss: fill the set's next empty way, else evict its LRU way.
         let filled = self.filled[set];
+        let base = if filled == 0 {
+            self.append_block(set)
+        } else {
+            self.base[set] as usize
+        };
         let way = if (filled as usize) < self.ways {
             self.filled[set] += 1;
             if filled > 0 {
-                self.link_mru(set, filled);
+                self.link_mru(set, base, filled);
             }
             filled
         } else {
@@ -247,13 +293,25 @@ impl Cache {
         };
         let pos = base + way as usize;
         self.lines[pos] = key;
-        self.index.insert(key, pos);
+        self.index.insert(&self.lines, key, pos);
         false
     }
 
-    /// Makes filled way `way` of `set` its MRU way.
-    fn touch(&mut self, set: usize, way: u32) {
-        let base = set * self.ways;
+    /// Appends a zero-filled block of ways for `set`, which has none,
+    /// and returns where it starts.
+    fn append_block(&mut self, set: usize) -> usize {
+        let base = self.lines.len();
+        let end = base + self.ways;
+        self.lines.resize(end, 0);
+        self.newer.resize(end, 0);
+        self.older.resize(end, 0);
+        self.base[set] = base as u32;
+        base
+    }
+
+    /// Makes filled way `way` of `set`, whose block starts at `base`,
+    /// its MRU way.
+    fn touch(&mut self, set: usize, base: usize, way: u32) {
         let lru = self.lru[set];
         if way == lru {
             self.lru[set] = self.newer[base + way as usize];
@@ -268,12 +326,11 @@ impl Cache {
         );
         self.newer[base + older as usize] = newer;
         self.older[base + newer as usize] = older;
-        self.link_mru(set, way);
+        self.link_mru(set, base, way);
     }
 
     /// Links `way`, which is not in `set`'s ring, in as its MRU way.
-    fn link_mru(&mut self, set: usize, way: u32) {
-        let base = set * self.ways;
+    fn link_mru(&mut self, set: usize, base: usize, way: u32) {
         let lru = self.lru[set];
         let mru = self.older[base + lru as usize];
         self.older[base + way as usize] = mru;
@@ -386,7 +443,7 @@ mod tests {
         let mut keys = [7u64, 15, 1, 23].map(|line| line + 1);
         let mut index = LineIndex::new(keys.len());
         for (pos, &key) in keys.iter().enumerate() {
-            index.insert(key, pos);
+            index.insert(&keys, key, pos);
         }
         // Freeing line 15's slot 0 must pull line 23 back into it past
         // line 1, which stays at home.
@@ -397,6 +454,23 @@ mod tests {
             assert_eq!(index.find(&keys, key), Some(pos));
         }
         assert_eq!(index.slots[..3], [4, 3, 0]);
+    }
+
+    #[test]
+    fn line_index_doubles_past_three_quarters_load() {
+        // From one slot, the table doubles on each insert that would load
+        // it past 0.75, re-placing every position it already holds.
+        let keys: Vec<u64> = (0..700u64).map(|line| line * 37 + 1).collect();
+        let mut index = LineIndex::new(0);
+        for (pos, &key) in keys.iter().enumerate() {
+            index.insert(&keys, key, pos);
+            assert!((pos + 1) * 4 <= index.slots.len() * 3);
+        }
+        // The smallest power of two at load <= 0.75, as if sized upfront.
+        assert_eq!(index.slots.len(), LineIndex::new(keys.len()).slots.len());
+        for (pos, &key) in keys.iter().enumerate() {
+            assert_eq!(index.find(&keys, key), Some(pos));
+        }
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! The table is a fixed-capacity slot array (`lines`/`done` parallel
 //! arrays plus a free list), like the hardware it models. A line → slot
 //! [`LineIndex`] (the same open-addressing table the caches use, keyed
-//! through `lines`) makes `lookup` and the insert-overwrite check O(1);
-//! only the reclaim and evict passes scan the slots, and they run only
-//! when the table is full. Lines are stored plus one, so a zero-filled
-//! array is an empty table. Merge/allocate/eviction behaviour is
+//! through `lines`, but sized for the full table, so it never doubles)
+//! makes `lookup` and the insert-overwrite check O(1); only the reclaim
+//! and evict passes scan the slots, and they run only when the table is
+//! full. Lines are stored plus one, so a zero-filled array is an empty
+//! table. Merge/allocate/eviction behaviour is
 //! bitwise identical to the map-based model in `cooprt_check::oracle`,
 //! including the deterministic line-index tie-break for equal
 //! completion times.
@@ -123,7 +124,7 @@ impl Mshr {
         let slot = self.free.pop().expect("a free slot was ensured above") as usize;
         self.lines[slot] = key;
         self.done[slot] = done;
-        self.index.insert(key, slot);
+        self.index.insert(&self.lines, key, slot);
     }
 
     /// Frees occupied slot `slot`.
