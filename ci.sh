@@ -10,6 +10,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings (intra-doc links, which clippy does not check)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --offline --release --workspace
 

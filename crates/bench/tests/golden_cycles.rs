@@ -1,14 +1,18 @@
 //! Golden cycle-count regression suite.
 //!
-//! Every scene × policy cell of `BENCH_simperf.json` (resolution 96,
-//! detail 16, RTX 2060 config, path tracing) is pinned here to the
-//! exact cycle count the simulator reported when the numbers were
-//! recorded. The simulator is deterministic, and hot-path work is
-//! host-*representation* only (flat caches, slotted MSHRs, the event
-//! calendar — see `DESIGN.md`), so any change that perturbs one of
-//! these counts is a *behavioural* change: it must either be a bug or
-//! come with a deliberate re-baselining of this table and of
-//! `BENCH_simperf.json`.
+//! Every scene × policy cell of the `simperf` matrix, run at resolution
+//! 96 and detail 16 (RTX 2060 config, path tracing), is pinned here to
+//! the exact cycle count the simulator reported when the numbers were
+//! recorded. That is the point
+//! `COOPRT_RES=96 COOPRT_DETAIL=16 cargo bench -p cooprt-bench --bench simperf`
+//! measures; the checked-in `BENCH_simperf.json` is generated at
+//! resolution 64 and detail 32, so its counts differ from these (wknd
+//! is 14,715/8,803 there, 15,278/9,162 here). The simulator is
+//! deterministic, and hot-path work is host-*representation* only
+//! (flat caches, slotted MSHRs, the event calendar — see `DESIGN.md`),
+//! so any change that perturbs one of these counts is a *behavioural*
+//! change: it must either be a bug or come with a deliberate
+//! re-baselining of this table and of `BENCH_simperf.json`.
 //!
 //! The parameters are hard-coded — `COOPRT_RES` / `COOPRT_DETAIL` are
 //! ignored — so the suite means the same thing in every environment.
@@ -43,7 +47,8 @@ use cooprt_telemetry::{EventKind, Tracer};
 const RES: usize = 96;
 const DETAIL: u32 = 16;
 
-/// `(scene, baseline cycles, cooprt cycles)` from `BENCH_simperf.json`.
+/// `(scene, baseline cycles, cooprt cycles)` of the simperf matrix at
+/// `RES` x `RES`, detail `DETAIL`.
 const GOLDEN: &[(SceneId, u64, u64)] = &[
     (SceneId::Wknd, 15278, 9162),
     (SceneId::Ship, 8123, 5413),

@@ -23,7 +23,14 @@
 //!     --policy baseline --out crates/bench/tests/data/golden_wknd.cprt
 //! ```
 
-use cooprt_core::{GpuConfig, ShaderKind, Trace, TraversalPolicy, TRACE_MAGIC, TRACE_VERSION};
+use cooprt_core::{
+    GpuConfig, PredictPolicy, ReorderPolicy, ShaderKind, Simulation, Trace, TraversalPolicy,
+    TRACE_MAGIC, TRACE_VERSION,
+};
+use cooprt_scenes::{Scene, SceneId};
+use cooprt_telemetry::{EventKind, TraceLog, Tracer};
+use std::collections::BTreeSet;
+use std::fmt::Write;
 
 const GOLDEN_BYTES: &[u8] = include_bytes!("data/golden_wknd.cprt");
 
@@ -80,6 +87,130 @@ fn golden_trace_still_replays_the_pinned_cycles() {
             "{policy:?}: replay no longer reproduces the recorded image"
         );
     }
+}
+
+/// FNV-1a over each event's `Debug` text, one line per event: any
+/// change to an event's cycle, kind, fields or position moves it.
+fn stream_hash(log: &TraceLog) -> u64 {
+    let mut text = String::new();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for event in &log.events {
+        text.clear();
+        writeln!(text, "{event:?}").expect("writing to a String");
+        for &b in text.as_bytes() {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// `EventKind` variant name, for the coverage check.
+fn variant(kind: &EventKind) -> String {
+    let text = format!("{kind:?}");
+    text.split(' ').next().unwrap_or_default().to_string()
+}
+
+/// The sim-time event streams are pinned event by event: their length
+/// and a hash of every event, for path tracing under both policies,
+/// the shadow shader with reordering and ray-path prediction on, the
+/// replay of the golden trace, and a capacity-capped tracer. Together
+/// the runs emit every `EventKind` the simulator produces (`Request`
+/// is the service layer's marker). A refactor of how events reach the
+/// tracer must leave all of these unchanged.
+#[test]
+fn event_streams_are_pinned() {
+    let scene = SceneId::Wknd.build(2);
+    let cfg = GpuConfig::rtx2060();
+    let traced = |cfg: &GpuConfig, policy, kind, tracer: Tracer| {
+        Simulation::new(&scene, cfg, policy)
+            .with_tracer(tracer.clone())
+            .run_frame(kind, 16, 16)
+            .expect("valid frame");
+        tracer.take()
+    };
+    let mut seen = BTreeSet::new();
+    let mut pin = |what: &str, log: &TraceLog, events: usize, hash: u64| {
+        seen.extend(log.events.iter().map(|e| variant(&e.kind)));
+        assert_eq!(log.events.len(), events, "{what}: event count");
+        assert_eq!(log.dropped, 0, "{what}: dropped events");
+        assert_eq!(stream_hash(log), hash, "{what}: event stream hash");
+    };
+
+    let pt = ShaderKind::PathTrace;
+    let base = traced(&cfg, TraversalPolicy::Baseline, pt, Tracer::enabled());
+    pin("baseline pt", &base, 6_131, 0x1156_7357_a451_c9b3);
+    let coop = traced(&cfg, TraversalPolicy::CoopRt, pt, Tracer::enabled());
+    pin("cooprt pt", &coop, 10_041, 0xd529_cf53_ad0b_2cce);
+
+    let shadow_cfg = cfg
+        .clone()
+        .with_reorder(ReorderPolicy::OctantHash)
+        .with_predict(PredictPolicy::RayPath);
+    let shadow = traced(
+        &shadow_cfg,
+        TraversalPolicy::CoopRt,
+        ShaderKind::Shadow,
+        Tracer::enabled(),
+    );
+    pin("cooprt sh", &shadow, 4_466, 0x0cb1_61c2_dfd8_b4a4);
+    let count = |name: &str| {
+        shadow
+            .events
+            .iter()
+            .filter(|e| variant(&e.kind) == name)
+            .count()
+    };
+    assert_eq!((count("Predict"), count("Reorder")), (45, 1));
+
+    // Replaying the golden trace emits the live CoopRT stream exactly.
+    let trace = Trace::decode(GOLDEN_BYTES).expect("checked-in trace decodes");
+    let replay_scene = Scene::for_replay(trace.scene_name.clone(), trace.bvh.clone());
+    let tracer = Tracer::enabled();
+    Simulation::new(&replay_scene, &cfg, TraversalPolicy::CoopRt)
+        .with_tracer(tracer.clone())
+        .replay_frame(
+            trace.kind,
+            trace.width,
+            trace.height,
+            trace.streams.clone(),
+            trace.image.clone(),
+        )
+        .expect("valid replay");
+    let replay = tracer.take();
+    assert_eq!(replay.events, coop.events, "replay stream equals live");
+
+    // A capped tracer stores the stream's prefix and counts the rest.
+    let capped = traced(
+        &cfg,
+        TraversalPolicy::CoopRt,
+        pt,
+        Tracer::with_capacity(1000),
+    );
+    assert_eq!((capped.events.len(), capped.dropped), (1000, 9_041));
+    assert_eq!(capped.events[..], coop.events[..1000], "capped prefix");
+    assert_eq!(
+        stream_hash(&capped),
+        0x6182_3904_41cd_3076,
+        "capped stream hash"
+    );
+
+    let expected: BTreeSet<String> = [
+        "WarpIssue",
+        "WarpRetire",
+        "TraceBegin",
+        "TraceEnd",
+        "NodeFetch",
+        "ResponsePop",
+        "LbuMove",
+        "CacheAccess",
+        "Reorder",
+        "Predict",
+        "DramBusy",
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    assert_eq!(seen, expected, "every simulator EventKind is covered");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! on hosts with enough cores.
 
 use cooprt_bench::parallel;
-use cooprt_core::{FrameResult, GpuConfig, ShaderKind, Simulation, TraversalPolicy};
+use cooprt_core::{Checker, FrameResult, GpuConfig, ShaderKind, Simulation, TraversalPolicy};
 use cooprt_scenes::{Scene, SceneId};
 use std::time::Instant;
 
@@ -74,18 +74,27 @@ fn joined_policy_pair_matches_sequential_pair() {
 
 /// Multi-sample accumulation is invariant to the worker count: the
 /// accumulated image (f32 sums in fixed order) and every per-sample
-/// frame are bitwise identical.
+/// frame are bitwise identical. Every run is checked, and concurrent
+/// samples sharing the one checker must not trip each other's
+/// per-cycle invariants.
 #[test]
 fn accumulation_is_thread_count_invariant() {
     let scene = SceneId::Fox.build(4);
     let sim = Simulation::new(&scene, &GpuConfig::small(2), TraversalPolicy::CoopRt);
-    let (ref_accum, ref_frames) = sim
-        .run_accumulated_with_threads(ShaderKind::PathTrace, 8, 8, 4, 1)
-        .unwrap();
-    for workers in [2, 4, 8] {
-        let (accum, frames) = sim
+    let checked = |workers| {
+        let checker = Checker::enabled();
+        let run = sim
+            .clone()
+            .with_checker(checker.clone())
             .run_accumulated_with_threads(ShaderKind::PathTrace, 8, 8, 4, workers)
             .unwrap();
+        assert!(checker.checks_run() > 0, "{workers} workers ran no checks");
+        checker.assert_clean();
+        run
+    };
+    let (ref_accum, ref_frames) = checked(1);
+    for workers in [2, 4, 8] {
+        let (accum, frames) = checked(workers);
         assert_eq!(accum, ref_accum, "accumulated image on {workers} workers");
         assert_eq!(frames.len(), ref_frames.len());
         for (a, b) in ref_frames.iter().zip(&frames) {

@@ -17,7 +17,7 @@
 //!    trusted. This is the regression guard for the historical
 //!    stale-candidate overcount.
 //!
-//! Failing cases shrink through the same [`shrink`](crate::shrink)
+//! Failing cases shrink through the same [`shrink`]
 //! pipeline as the simulator oracles and report a
 //! `simcheck -- --predict-seed N` replay command.
 

@@ -17,7 +17,7 @@
 //!
 //! The query scene is derived from the case's `scene_seed`/`clutter`
 //! fields (a point cloud of one of three shapes, or an AMR cell grid),
-//! so [`shrink`](crate::shrink) minimizes point counts and batch sizes
+//! so [`shrink`] minimizes point counts and batch sizes
 //! through the existing pipeline. Failing seeds report a
 //! `simcheck -- --query-seed N` replay command.
 

@@ -15,7 +15,7 @@
 //!    streams, and the counting sort over those streams yields the same
 //!    permutation.
 //!
-//! Failing cases shrink through the same [`shrink`](crate::shrink)
+//! Failing cases shrink through the same [`shrink`]
 //! pipeline as the simulator oracles and report a
 //! `simcheck -- --reorder-seed N` replay command.
 

@@ -19,7 +19,7 @@
 //! geometry, MSHRs, DRAM channels — exactly. Any divergence means a
 //! replay-visible piece of state leaked out of the trace.
 //!
-//! Failing cases shrink through the same [`shrink`](crate::shrink)
+//! Failing cases shrink through the same [`shrink`]
 //! pipeline as the simulator oracles and report a
 //! `simcheck -- --trace-seed N` replay command.
 

@@ -156,7 +156,7 @@ pub struct GpuConfig {
     /// warps, at first-wave formation and — with
     /// [`GpuConfig::compaction`] — at every between-wave re-packing.
     /// The third policy axis, orthogonal to
-    /// [`TraversalPolicy`](crate::TraversalPolicy) and
+    /// [`TraversalPolicy`] and
     /// [`WarpTiling`]: timing-only, never results (images stay bitwise
     /// identical to [`ReorderPolicy::Off`]).
     pub reorder: ReorderPolicy,

@@ -2,7 +2,6 @@
 //! measurement plumbing (activity sampling, stall attribution, warp
 //! timelines).
 
-use crate::check::Checker;
 use crate::config::{GpuConfig, TraversalPolicy, WARP_SIZE};
 use crate::latency::TraceLatencies;
 use crate::predictor::{PredictPolicy, PredictorStats};
@@ -13,7 +12,7 @@ use crate::trace::{RayRecord, Recorder};
 use cooprt_gpu::{EnergyEvents, EnergyReport, EventCalendar, MemStats, MemoryHierarchy};
 use cooprt_math::{Ray, Rgb};
 use cooprt_scenes::Scene;
-use cooprt_telemetry::{EventKind, Tracer};
+use cooprt_telemetry::{Checker, EventKind, Probe, Tracer};
 use std::collections::VecDeque;
 
 /// Validation error returned by the public simulation entry points.
@@ -344,9 +343,9 @@ impl<'s> Simulation<'s> {
         }
     }
 
-    /// Installs a sim-time event tracer: the engine hands clones to
-    /// every RT unit and the memory hierarchy, and cycle-stamped events
-    /// accumulate in the tracer's shared buffer (drain with
+    /// Installs a sim-time event tracer: each frame's [`Probe`] emits
+    /// the engine's, RT units' and memory hierarchy's cycle-stamped
+    /// events into the tracer's shared buffer (drain with
     /// [`Tracer::take`] after the run). Tracing is purely
     /// observational: cycle counts are bitwise identical with it on or
     /// off — the `golden_cycles` suite in `cooprt-bench` runs fully
@@ -356,15 +355,16 @@ impl<'s> Simulation<'s> {
         self
     }
 
-    /// Installs an invariant checker (the `checked` engine mode): the
-    /// engine hands clones to every RT unit and verifies cycle-boundary
-    /// invariants — ray conservation, one response pop and one coalesced
-    /// fetch per unit per cycle, LBU pair validity, `min_thit`
-    /// monotonicity, and calendar sanity — recording violations into the
-    /// checker's shared buffer (read with [`Checker::violations`] after
-    /// the run). Like tracing, checking is purely observational: cycle
-    /// counts are bitwise identical with it on or off, which the
-    /// `golden_cycles` suite enforces over the full scene matrix.
+    /// Installs an invariant checker (the `checked` engine mode): each
+    /// frame's [`Probe`] verifies the engine invariants — one response
+    /// pop and one coalesced fetch per unit per cycle, every
+    /// `trace_ray` retired, LBU pair validity, `min_thit` monotonicity,
+    /// and calendar sanity — in state of its own, and adds its
+    /// violations to the checker's shared buffer when the frame ends
+    /// (read with [`Checker::violations`] after the run). Like tracing,
+    /// checking is purely observational: cycle counts are bitwise
+    /// identical with it on or off, which the `golden_cycles` suite
+    /// enforces over the full scene matrix.
     pub fn with_checker(mut self, checker: Checker) -> Self {
         self.checker = checker;
         self
@@ -402,7 +402,7 @@ impl<'s> Simulation<'s> {
     ///
     /// Counter hygiene: each per-sample [`FrameResult`] carries
     /// per-frame counters only. Every statistics family
-    /// ([`MemStats`](cooprt_gpu::MemStats), [`EnergyEvents`],
+    /// ([`MemStats`], [`EnergyEvents`],
     /// [`StallBreakdown`], [`crate::TraceLatencies`],
     /// [`crate::PredictorStats`], [`IntervalSeries`]) lives inside the
     /// per-sample `Engine`, which this method constructs fresh for
@@ -742,7 +742,6 @@ struct Sm {
 struct Engine<'s> {
     scene: &'s Scene,
     cfg: GpuConfig,
-    policy: TraversalPolicy,
     kind: ShaderKind,
     width: usize,
     height: usize,
@@ -767,16 +766,10 @@ struct Engine<'s> {
     /// every SM each skip.
     wake: EventCalendar<u32>,
     mem: MemoryHierarchy,
-    tracer: Tracer,
-    checker: Checker,
+    /// This frame's observation point: every event and invariant check
+    /// of the engine, its RT units and the memory hierarchy.
+    probe: Probe,
     recorder: Recorder,
-    /// Active-ray count of each warp's in-flight `trace_ray`, recorded
-    /// at issue (checked mode only; indexed by warp id, reset per wave).
-    checked_issue_rays: Vec<u32>,
-    /// Per-SM retired ray / `trace_ray`-instruction tallies feeding the
-    /// ray-conservation invariant (checked mode only).
-    checked_retired_rays: Vec<u64>,
-    checked_retired_instr: Vec<u64>,
     stalls: StallBreakdown,
     activity: ActivitySeries,
     intervals: IntervalSeries,
@@ -820,25 +813,18 @@ impl<'s> Engine<'s> {
         sim.recorder.begin(front.len());
         let sm_count = cfg.sm_count();
         let sms: Vec<Sm> = (0..sm_count)
-            .map(|i| {
-                let mut rt = RtUnit::for_config(i, &cfg);
-                rt.set_tracer(sim.tracer.clone());
-                rt.set_checker(sim.checker.clone());
-                Sm {
-                    rt,
-                    queue: VecDeque::new(),
-                    running: Vec::new(),
-                }
+            .map(|i| Sm {
+                rt: RtUnit::for_config(i, &cfg, sim.policy),
+                queue: VecDeque::new(),
+                running: Vec::new(),
             })
             .collect();
-        let mut mem = MemoryHierarchy::new(&cfg.mem);
-        mem.set_tracer(sim.tracer.clone());
+        let mem = MemoryHierarchy::new(&cfg.mem);
         let interval = cfg.sample_interval.max(1);
         let sm_next = vec![0u64; sm_count];
         Engine {
             scene: sim.scene,
             cfg,
-            policy: sim.policy,
             kind,
             width,
             height,
@@ -848,12 +834,8 @@ impl<'s> Engine<'s> {
             sm_next,
             wake: EventCalendar::new(),
             mem,
-            tracer: sim.tracer.clone(),
-            checker: sim.checker.clone(),
+            probe: Probe::new(&sim.tracer, &sim.checker),
             recorder: sim.recorder.clone(),
-            checked_issue_rays: Vec::new(),
-            checked_retired_rays: vec![0; sm_count],
-            checked_retired_instr: vec![0; sm_count],
             stalls: StallBreakdown::default(),
             activity: ActivitySeries {
                 interval,
@@ -928,7 +910,7 @@ impl<'s> Engine<'s> {
                 None => 0,
             }
         });
-        self.tracer.emit(now, || EventKind::Reorder {
+        self.probe.emit(now, || EventKind::Reorder {
             wave,
             rays: pass.keys_computed as u32,
             moved: pass.rays_moved as u32,
@@ -983,13 +965,6 @@ impl<'s> Engine<'s> {
                 wait_since: 0,
             });
             self.sms[w % sm_count].queue.push_back(w);
-        }
-        if self.checker.is_enabled() {
-            // Warp ids restart per wave; the per-warp issue-ray record
-            // follows (retired tallies stay cumulative, like the RT
-            // units' issue counters).
-            self.checked_issue_rays.clear();
-            self.checked_issue_rays.resize(self.warps.len(), 0);
         }
     }
 
@@ -1079,7 +1054,7 @@ impl<'s> Engine<'s> {
                     break;
                 };
                 self.warps[w].started = now;
-                self.tracer.emit(now, || EventKind::WarpIssue {
+                self.probe.emit(now, || EventKind::WarpIssue {
                     sm: sm_idx as u32,
                     warp: w as u32,
                 });
@@ -1122,9 +1097,6 @@ impl<'s> Engine<'s> {
                         self.warps[w].finished = now;
                     } else if self.sms[sm_idx].rt.has_free_slot() {
                         let query = self.build_query(w);
-                        if self.checker.is_enabled() {
-                            self.checked_issue_rays[w] = query.rays.iter().flatten().count() as u32;
-                        }
                         self.recorder.record_issue(
                             sm_idx as u32,
                             w as u32,
@@ -1132,7 +1104,9 @@ impl<'s> Engine<'s> {
                             &self.warps[w].members,
                             &query,
                         );
-                        let ok = self.sms[sm_idx].rt.issue(query, now, self.scene);
+                        let ok = self.sms[sm_idx]
+                            .rt
+                            .issue(query, now, self.scene, &mut self.probe);
                         debug_assert!(ok);
                         self.warps[w].phase = Phase::InRt;
                     }
@@ -1144,64 +1118,26 @@ impl<'s> Engine<'s> {
                 now,
                 &mut self.mem,
                 self.scene,
-                self.policy,
                 &self.cfg,
+                &mut self.probe,
                 &mut self.retired_buf,
             );
             let retired = std::mem::take(&mut self.retired_buf);
             for res in &retired {
-                if self.checker.is_enabled() {
-                    self.checked_retired_rays[sm_idx] +=
-                        u64::from(self.checked_issue_rays[res.warp]);
-                    self.checked_retired_instr[sm_idx] += 1;
-                }
                 self.retire_warp(res, now);
             }
             self.retired_buf = retired;
             self.retired_buf.clear();
 
-            // Ray conservation at the cycle boundary: everything this RT
-            // unit was ever asked to trace is either retired or still
-            // resident in its warp buffer.
-            if self.checker.is_enabled() {
-                let rt = &self.sms[sm_idx].rt;
-                let retired_rays = self.checked_retired_rays[sm_idx];
-                let retired_instr = self.checked_retired_instr[sm_idx];
-                self.checker.check(
-                    now,
-                    || rt.rays_issued == retired_rays + rt.in_flight_rays(),
-                    || {
-                        format!(
-                            "SM {sm_idx} lost rays: issued {} != retired {retired_rays} + \
-                             in-flight {}",
-                            rt.rays_issued,
-                            rt.in_flight_rays()
-                        )
-                    },
-                );
-                self.checker.check(
-                    now,
-                    || rt.events.trace_instructions == retired_instr + rt.occupied() as u64,
-                    || {
-                        format!(
-                            "SM {sm_idx} lost trace_rays: issued {} != retired {retired_instr} \
-                             + occupied {}",
-                            rt.events.trace_instructions,
-                            rt.occupied()
-                        )
-                    },
-                );
-            }
-
             // Reap finished warps.
             let warps = &self.warps;
-            let tracer = &self.tracer;
+            let probe = &mut self.probe;
             let before = self.sms[sm_idx].running.len();
             let mut slowest = self.slowest_warp;
             self.sms[sm_idx].running.retain(|&w| {
                 if warps[w].phase == Phase::Done {
                     slowest = slowest.max(warps[w].finished.saturating_sub(warps[w].started));
-                    tracer.emit(now, || EventKind::WarpRetire {
+                    probe.emit(now, || EventKind::WarpRetire {
                         sm: sm_idx as u32,
                         warp: w as u32,
                     });
@@ -1300,10 +1236,7 @@ impl<'s> Engine<'s> {
                 _ => {}
             }
         }
-        if let Some(t) = sm
-            .rt
-            .next_event(now + 1, self.policy, self.cfg.subwarp_size)
-        {
+        if let Some(t) = sm.rt.next_event(now + 1, self.cfg.subwarp_size) {
             next = next.min(t.max(now + 1));
         }
         next
@@ -1324,7 +1257,7 @@ impl<'s> Engine<'s> {
                 // A live wake entry in the past would mean the per-SM
                 // next-event cache went stale and the engine skipped
                 // work (the `.max` below would silently paper over it).
-                self.checker.check(
+                self.probe.check(
                     now,
                     || t > now,
                     || format!("wake calendar yielded cycle {t} for SM {sm}, not after {now}"),
@@ -1393,6 +1326,7 @@ impl<'s> Engine<'s> {
         if self.activity.samples.is_empty() {
             self.take_sample(now);
         }
+        self.probe.finish(now);
         FrameResult {
             image,
             width: self.width,

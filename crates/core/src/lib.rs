@@ -52,7 +52,6 @@
 //! ```
 
 pub mod area;
-pub mod check;
 pub mod config;
 pub mod engine;
 pub mod latency;
@@ -65,10 +64,10 @@ pub mod rtunit;
 pub mod shader;
 pub mod trace;
 
-pub use check::Checker;
 pub use config::{
     GpuConfig, StealPosition, SubwarpMode, TraversalOrder, TraversalPolicy, WarpTiling, WARP_SIZE,
 };
+pub use cooprt_telemetry::Checker;
 pub use engine::{
     ActivitySample, ActivitySeries, ConfigError, FrameResult, IntervalSample, IntervalSeries,
     Simulation, StallBreakdown, TimelineSample,

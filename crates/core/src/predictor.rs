@@ -271,7 +271,7 @@ impl RayPathPredictor {
     /// address against the current BVH (a stale address — e.g. after
     /// the table outlived a scene swap — is dropped and counted, never
     /// started from). Entries whose confidence fell below
-    /// [`PREDICT_CONFIDENT`] after mispredictions stay in the table for
+    /// `PREDICT_CONFIDENT` after mispredictions stay in the table for
     /// training but return no candidate.
     pub fn predict(&mut self, ray: &Ray, image: &BvhImage) -> Option<u64> {
         self.stats.path_lookups += 1;
@@ -297,7 +297,7 @@ impl RayPathPredictor {
     /// [`PREDICT_ENTRY_LIFT`] levels above the accepted hit leaf at
     /// `leaf_addr` (clamped at the root). A repeat of the already
     /// stored entry strengthens its confidence; a new or changed entry
-    /// (re)starts at [`PREDICT_CONFIDENT`].
+    /// (re)starts at `PREDICT_CONFIDENT`.
     pub fn update(&mut self, ray: &Ray, leaf_addr: u64, image: &BvhImage) {
         let mut entry = leaf_addr;
         for _ in 0..PREDICT_ENTRY_LIFT {

@@ -19,7 +19,6 @@
 //! the paper had to approximate in Vulkan-sim's split functional/timing
 //! design, §6.1).
 
-use crate::check::Checker;
 use crate::config::{
     GpuConfig, StealPosition, SubwarpMode, TraversalOrder, TraversalPolicy, WARP_SIZE,
 };
@@ -29,7 +28,7 @@ use cooprt_bvh::NodeKind;
 use cooprt_gpu::{EnergyEvents, EventCalendar, MemoryHierarchy};
 use cooprt_math::Ray;
 use cooprt_scenes::Scene;
-use cooprt_telemetry::{EventKind, Tracer};
+use cooprt_telemetry::{EventKind, Probe};
 use std::collections::VecDeque;
 
 /// The hit a ray ends a `trace_ray` with.
@@ -306,6 +305,8 @@ impl Slot {
 #[derive(Clone, Debug)]
 pub struct RtUnit {
     sm_id: usize,
+    /// Baseline or CoopRT: whether the LBU runs.
+    policy: TraversalPolicy,
     slots: Vec<Option<Slot>>,
     /// Pending memory responses, keyed on their ready cycle. The
     /// calendar pops same-cycle responses in issue order, matching the
@@ -325,12 +326,6 @@ pub struct RtUnit {
     /// allocation (including each thread's stack capacity) instead of
     /// allocating 32 fresh `VecDeque`s per `trace_ray`.
     thread_pool: Vec<ThreadArray>,
-    /// Sim-time event tracer (disabled by default; purely
-    /// observational — no scheduling decision reads it).
-    tracer: Tracer,
-    /// Invariant checker (disabled by default; like the tracer, purely
-    /// observational — no scheduling decision reads it).
-    checker: Checker,
     /// Energy-event counters accumulated by this unit.
     pub events: EnergyEvents,
     /// Total rays dispatched into this unit (active threads across all
@@ -341,11 +336,12 @@ pub struct RtUnit {
 
 impl RtUnit {
     /// Creates an RT unit with `warp_buffer_size` warp-buffer entries
-    /// (no intersection predictor).
-    pub fn new(sm_id: usize, warp_buffer_size: usize) -> Self {
+    /// traversing under `policy` (no intersection predictor).
+    pub fn new(sm_id: usize, warp_buffer_size: usize, policy: TraversalPolicy) -> Self {
         assert!(warp_buffer_size > 0, "warp buffer needs at least one entry");
         RtUnit {
             sm_id,
+            policy,
             slots: vec![None; warp_buffer_size],
             responses: EventCalendar::new(),
             rr: 0,
@@ -353,23 +349,22 @@ impl RtUnit {
             predictor: None,
             path_predictor: None,
             thread_pool: Vec::new(),
-            tracer: Tracer::disabled(),
-            checker: Checker::disabled(),
             events: EnergyEvents::default(),
             rays_issued: 0,
         }
     }
 
     /// Creates an RT unit configured per `cfg` (warp-buffer size and
-    /// the optional intersection / ray-path prediction tables).
+    /// the optional intersection / ray-path prediction tables),
+    /// traversing under `policy`.
     ///
     /// `cfg.predictor_entries == 0` with a predictor enabled is
     /// rejected by the simulation entry points with a typed
     /// [`ConfigError::ZeroPredictorEntries`](crate::ConfigError), so
     /// the table constructors' zero-size panic is unreachable from the
     /// engine.
-    pub fn for_config(sm_id: usize, cfg: &GpuConfig) -> Self {
-        let mut unit = Self::new(sm_id, cfg.warp_buffer_size);
+    pub fn for_config(sm_id: usize, cfg: &GpuConfig, policy: TraversalPolicy) -> Self {
+        let mut unit = Self::new(sm_id, cfg.warp_buffer_size, policy);
         if cfg.intersection_predictor {
             unit.predictor = Some(Predictor::new(cfg.predictor_entries));
         }
@@ -377,29 +372,6 @@ impl RtUnit {
             unit.path_predictor = Some(RayPathPredictor::new(cfg.predictor_entries));
         }
         unit
-    }
-
-    /// Install a tracer: `trace_ray` begin/end, node fetches, response
-    /// pops and LBU moves are emitted through it.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
-    /// Install an invariant checker: response-FIFO pops, coalesced
-    /// fetches, `min_thit` updates and LBU moves are verified through it.
-    pub fn set_checker(&mut self, checker: Checker) {
-        self.checker = checker;
-    }
-
-    /// Rays still traversing in this unit: active threads of every
-    /// resident warp-buffer entry. Feeds the engine's ray-conservation
-    /// invariant (`issued == retired + in-flight`).
-    pub fn in_flight_rays(&self) -> u64 {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|s| u64::from(s.active.count_ones()))
-            .sum()
     }
 
     /// Prediction-table counters, when either table is enabled (both
@@ -431,10 +403,11 @@ impl RtUnit {
 
     /// Dispatches a `trace_ray` instruction into a free warp-buffer
     /// entry; performs the root-AABB test for each active thread
-    /// (Algorithm 1, lines 1–2).
+    /// (Algorithm 1, lines 1–2). The `trace_ray` begin and any
+    /// ray-path predictions are emitted through `probe`.
     ///
     /// Returns `false` (and does nothing) if the warp buffer is full.
-    pub fn issue(&mut self, query: TraceQuery, now: u64, scene: &Scene) -> bool {
+    pub fn issue(&mut self, query: TraceQuery, now: u64, scene: &Scene, probe: &mut Probe) -> bool {
         let Some(free) = self.slots.iter().position(|s| s.is_none()) else {
             return false;
         };
@@ -450,7 +423,7 @@ impl RtUnit {
                 active |= 1 << i;
             }
         }
-        self.tracer.emit(now, || EventKind::TraceBegin {
+        probe.emit(now, || EventKind::TraceBegin {
             sm: self.sm_id as u32,
             warp: query.warp as u32,
             active_rays: active.count_ones(),
@@ -540,7 +513,7 @@ impl RtUnit {
                                     slot.predict_live += 1;
                                     start = entry;
                                     let warp = query.warp as u32;
-                                    self.tracer.emit(now, || EventKind::Predict {
+                                    probe.emit(now, || EventKind::Predict {
                                         sm: self.sm_id as u32,
                                         warp,
                                         lane: i as u32,
@@ -647,35 +620,31 @@ impl RtUnit {
         }
     }
 
-    /// Advances the unit by one cycle; any warps that retired this cycle
-    /// are appended to `retired`.
+    /// Advances the unit by one cycle, emitting and checking through
+    /// `probe`; any warps that retired this cycle are appended to
+    /// `retired`.
     pub fn step(
         &mut self,
         now: u64,
         mem: &mut MemoryHierarchy,
         scene: &Scene,
-        policy: TraversalPolicy,
         cfg: &GpuConfig,
+        probe: &mut Probe,
         retired: &mut Vec<TraceResult>,
     ) {
         // 1. Response FIFO: pop at most one ready response per cycle.
         if let Some((t, (slot, addr))) = self.responses.pop_ready(now) {
-            self.checker.count_response_pop(self.sm_id, now);
-            self.checker.check(
+            let sm = self.sm_id;
+            probe.check(
                 now,
                 || t <= now,
-                || {
-                    format!(
-                        "RT unit {} popped a response due at cycle {t} early",
-                        self.sm_id
-                    )
-                },
+                || format!("RT unit {sm} popped a response due at cycle {t} early"),
             );
-            self.tracer.emit(now, || EventKind::ResponsePop {
-                sm: self.sm_id as u32,
+            probe.emit(now, || EventKind::ResponsePop {
+                sm: sm as u32,
                 addr,
             });
-            self.process_response(slot, addr, now, mem, scene, cfg);
+            self.process_response((slot, addr), now, mem, scene, cfg, probe);
         }
 
         // 2–3. Warp scheduler + memory scheduler: one coalesced node
@@ -683,16 +652,16 @@ impl RtUnit {
         let chosen = self.pick_warp(now);
         if let Some(slot_idx) = chosen {
             self.events.scheduler_ops += 1;
-            self.issue_memory(slot_idx, now, mem, scene, cfg);
+            self.issue_memory(slot_idx, now, mem, scene, cfg, probe);
         }
 
         // 4. Load Balancing Unit (CoopRT only), on the scheduled warp —
         // or, if no warp could issue memory, on any warp with a
         // helper/main pair.
-        if policy == TraversalPolicy::CoopRt {
+        if self.policy == TraversalPolicy::CoopRt {
             let lbu_slot = chosen.or_else(|| self.pick_lbu_slot(cfg.subwarp_size));
             if let Some(s) = lbu_slot {
-                self.run_lbu(s, cfg, now);
+                self.run_lbu(s, cfg, now, probe);
             }
         }
 
@@ -705,7 +674,7 @@ impl RtUnit {
             let drained = matches!(&self.slots[s], Some(slot) if slot.drained());
             if drained {
                 let mut slot = self.slots[s].take().expect("checked above");
-                self.tracer.emit(now, || EventKind::TraceEnd {
+                probe.emit(now, || EventKind::TraceEnd {
                     sm: self.sm_id as u32,
                     warp: slot.warp as u32,
                     issued_at: slot.issued_at,
@@ -728,7 +697,7 @@ impl RtUnit {
 
     /// Earliest cycle (>= `now`) at which this unit can make progress,
     /// or `None` if it is empty. Used for cycle skipping.
-    pub fn next_event(&self, now: u64, policy: TraversalPolicy, subwarp: usize) -> Option<u64> {
+    pub fn next_event(&self, now: u64, subwarp: usize) -> Option<u64> {
         let mut earliest: Option<u64> = None;
         let mut relax = |t: u64| {
             earliest = Some(earliest.map_or(t, |e| e.min(t)));
@@ -743,7 +712,7 @@ impl RtUnit {
                 cand &= cand - 1;
                 relax(slot.threads.ready_at[tid].max(now));
             }
-            if policy == TraversalPolicy::CoopRt {
+            if self.policy == TraversalPolicy::CoopRt {
                 let (can, needs) = Self::lbu_masks(slot);
                 if !find_pairs(can, needs, subwarp).is_empty() {
                     relax(now);
@@ -804,6 +773,7 @@ impl RtUnit {
         mem: &mut MemoryHierarchy,
         scene: &Scene,
         cfg: &GpuConfig,
+        probe: &mut Probe,
     ) {
         let slot = self.slots[slot_idx]
             .as_mut()
@@ -842,21 +812,20 @@ impl RtUnit {
             .node_at(addr)
             .expect("traversal stacks hold valid node addresses")
             .size_bytes();
-        let ready = mem.access(self.sm_id, addr, bytes, now);
-        self.checker.count_fetch(self.sm_id, now);
-        self.checker.check(
+        let sm = self.sm_id;
+        let ready = mem.access_probed(sm, addr, bytes, now, probe);
+        probe.check(
             now,
             || ready > now,
             || {
                 format!(
-                    "RT unit {} fetch of node {addr:#x} completes at cycle {ready}, not in the future",
-                    self.sm_id
+                    "RT unit {sm} fetch of node {addr:#x} completes at cycle {ready}, not in the future"
                 )
             },
         );
         self.responses.push(ready, (slot_idx, addr));
-        self.tracer.emit(now, || EventKind::NodeFetch {
-            sm: self.sm_id as u32,
+        probe.emit(now, || EventKind::NodeFetch {
+            sm: sm as u32,
             warp,
             addr,
             threads: coalesced,
@@ -864,14 +833,16 @@ impl RtUnit {
         });
     }
 
+    /// Delivers the fetched node of a `(slot, addr)` response to every
+    /// thread waiting on it.
     fn process_response(
         &mut self,
-        slot_idx: usize,
-        addr: u64,
+        (slot_idx, addr): (usize, u64),
         now: u64,
         mem: &mut MemoryHierarchy,
         scene: &Scene,
         cfg: &GpuConfig,
+        probe: &mut Probe,
     ) {
         let Some(slot) = self.slots[slot_idx].as_mut() else {
             return;
@@ -937,7 +908,7 @@ impl RtUnit {
                                     .node_at(child.addr)
                                     .expect("child addresses are valid")
                                     .size_bytes();
-                                mem.prefetch(self.sm_id, child.addr, bytes, now);
+                                mem.prefetch(self.sm_id, child.addr, bytes, now, probe);
                             }
                         }
                     }
@@ -969,7 +940,7 @@ impl RtUnit {
                     if let Some(h) = accept {
                         let prev = slot.min_thit[mt];
                         let t = h.t;
-                        self.checker.check(
+                        probe.check(
                             now,
                             || t <= prev,
                             || format!("thread {mt} min_thit increased from {prev} to {t}"),
@@ -1033,7 +1004,7 @@ impl RtUnit {
         })
     }
 
-    fn run_lbu(&mut self, slot_idx: usize, cfg: &GpuConfig, now: u64) {
+    fn run_lbu(&mut self, slot_idx: usize, cfg: &GpuConfig, now: u64, probe: &mut Probe) {
         for _ in 0..cfg.lbu_moves_per_cycle.max(1) {
             let slot = self.slots[slot_idx]
                 .as_ref()
@@ -1060,7 +1031,7 @@ impl RtUnit {
                 pairs = crate::lbu::LbuPairs::single(chosen);
             }
             for &pair in &pairs {
-                self.apply_lbu_pair(slot_idx, pair, cfg, now);
+                self.apply_lbu_pair(slot_idx, pair, cfg, now, probe);
             }
         }
     }
@@ -1068,55 +1039,39 @@ impl RtUnit {
     /// Executes one LBU move: steals a node from `pair.main`'s stack and
     /// pushes it onto `pair.helper`'s, re-pointing the helper at the
     /// main's ray. In checked mode the pair is verified first: the
-    /// helper must be idle (empty stack, no fetch in flight), the main
-    /// must have stack work to share, and the two must be distinct
-    /// threads — [`find_pairs`] guarantees all three, so a violation
-    /// here means the pairing logic regressed.
-    fn apply_lbu_pair(&mut self, slot_idx: usize, pair: LbuPair, cfg: &GpuConfig, now: u64) {
+    /// helper must be idle (empty stack, no fetch in flight) and the
+    /// main must have stack work to share; the probe checks that the
+    /// emitted move pairs distinct threads. [`find_pairs`] guarantees
+    /// all three, so a violation means the pairing logic regressed.
+    fn apply_lbu_pair(
+        &mut self,
+        slot_idx: usize,
+        pair: LbuPair,
+        cfg: &GpuConfig,
+        now: u64,
+        probe: &mut Probe,
+    ) {
         let sm = self.sm_id;
         let slot = self.slots[slot_idx]
             .as_mut()
             .expect("LBU picked occupied slot");
-        if self.checker.is_enabled() {
-            let busy = slot.threads.busy_mask();
-            let nonempty = slot.threads.nonempty;
-            self.checker.check(
-                now,
-                || pair.helper != pair.main,
-                || {
-                    format!(
-                        "LBU on RT unit {sm}: thread {} paired with itself",
-                        pair.main
-                    )
-                },
-            );
-            self.checker.check(
-                now,
-                || busy & (1 << pair.helper) == 0,
-                || {
-                    format!(
-                        "LBU on RT unit {sm}: helper thread {} is not idle",
-                        pair.helper
-                    )
-                },
-            );
-            self.checker.check(
-                now,
-                || nonempty & (1 << pair.main) != 0,
-                || {
-                    format!(
-                        "LBU on RT unit {sm}: main thread {} has no stack work to share",
-                        pair.main
-                    )
-                },
-            );
-        }
+        let (helper, main) = (pair.helper, pair.main);
+        probe.check(
+            now,
+            || slot.threads.busy_mask() & (1 << helper) == 0,
+            || format!("LBU on RT unit {sm}: helper thread {helper} is not idle"),
+        );
+        probe.check(
+            now,
+            || slot.threads.nonempty & (1 << main) != 0,
+            || format!("LBU on RT unit {sm}: main thread {main} has no stack work to share"),
+        );
         let Some(node) = slot
             .threads
             .steal_node(pair.main, cfg.traversal_order, cfg.steal_from)
         else {
             // Unreachable through `find_pairs`; only a corrupted pair
-            // (recorded by the checker above) can land here.
+            // (recorded by the checks above) can land here.
             return;
         };
         let main_tid = slot.threads.main_tid[pair.main];
@@ -1125,8 +1080,8 @@ impl RtUnit {
         self.events.lbu_moves += 1;
         self.events.stack_ops += 2;
         let warp = slot.warp as u32;
-        self.tracer.emit(now, || EventKind::LbuMove {
-            sm: self.sm_id as u32,
+        probe.emit(now, || EventKind::LbuMove {
+            sm: sm as u32,
             warp,
             helper: pair.helper as u32,
             main: pair.main as u32,
@@ -1139,13 +1094,20 @@ impl RtUnit {
     /// mutation test that proves a broken pairing is caught by the
     /// checker.
     #[cfg(test)]
-    fn force_lbu_move(&mut self, warp: usize, pair: LbuPair, cfg: &GpuConfig, now: u64) {
+    fn force_lbu_move(
+        &mut self,
+        warp: usize,
+        pair: LbuPair,
+        cfg: &GpuConfig,
+        now: u64,
+        probe: &mut Probe,
+    ) {
         let slot_idx = self
             .slots
             .iter()
             .position(|s| matches!(s, Some(slot) if slot.warp == warp))
             .expect("warp is resident");
-        self.apply_lbu_pair(slot_idx, pair, cfg, now);
+        self.apply_lbu_pair(slot_idx, pair, cfg, now, probe);
     }
 }
 
@@ -1155,6 +1117,7 @@ mod tests {
     use cooprt_gpu::MemoryConfig;
     use cooprt_math::{Rgb, Vec3};
     use cooprt_scenes::{Camera, Material, SceneBuilder};
+    use cooprt_telemetry::{Checker, Tracer};
 
     fn test_scene(clutter: usize) -> Scene {
         let cam = Camera::look_at(Vec3::new(0.0, 2.0, 12.0), Vec3::ZERO, Vec3::Y, 60.0, 1.0);
@@ -1183,17 +1146,22 @@ mod tests {
         MemoryHierarchy::new(&MemoryConfig::rtx2060_like(1))
     }
 
+    /// Issues `query` at cycle 0 outside any observed frame.
+    fn issue(rt: &mut RtUnit, query: TraceQuery, scene: &Scene) -> bool {
+        rt.issue(query, 0, scene, &mut Probe::disabled())
+    }
+
     fn run_to_retire(
         rt: &mut RtUnit,
         mem: &mut MemoryHierarchy,
         scene: &Scene,
-        policy: TraversalPolicy,
         cfg: &GpuConfig,
+        probe: &mut Probe,
     ) -> (Vec<TraceResult>, u64) {
         let mut retired = Vec::new();
         let mut now = 0;
         while rt.occupied() > 0 {
-            rt.step(now, mem, scene, policy, cfg, &mut retired);
+            rt.step(now, mem, scene, cfg, probe, &mut retired);
             now += 1;
             assert!(now < 10_000_000, "RT unit failed to drain");
         }
@@ -1215,10 +1183,10 @@ mod tests {
         let cfg = GpuConfig::small(1);
         let rays = warp_rays(&scene, WARP_SIZE);
         for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
-            let mut rt = RtUnit::new(0, 4);
+            let mut rt = RtUnit::new(0, 4, policy);
             let mut m = mem();
-            assert!(rt.issue(TraceQuery::closest_hit(7, rays), 0, &scene));
-            let (retired, _) = run_to_retire(&mut rt, &mut m, &scene, policy, &cfg);
+            assert!(issue(&mut rt, TraceQuery::closest_hit(7, rays), &scene));
+            let (retired, _) = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
             assert_eq!(retired.len(), 1);
             assert_eq!(retired[0].warp, 7);
             #[allow(clippy::needless_range_loop)] // i is the SIMT lane id
@@ -1249,10 +1217,10 @@ mod tests {
         let rays = warp_rays(&scene, 4);
         let mut cycles = Vec::new();
         for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
-            let mut rt = RtUnit::new(0, 4);
+            let mut rt = RtUnit::new(0, 4, policy);
             let mut m = mem();
-            rt.issue(TraceQuery::closest_hit(0, rays), 0, &scene);
-            let (_, t) = run_to_retire(&mut rt, &mut m, &scene, policy, &cfg);
+            issue(&mut rt, TraceQuery::closest_hit(0, rays), &scene);
+            let (_, t) = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
             cycles.push(t);
         }
         assert!(
@@ -1268,10 +1236,10 @@ mod tests {
         let scene = test_scene(60);
         let cfg = GpuConfig::small(1);
         let rays = warp_rays(&scene, 2);
-        let mut rt = RtUnit::new(0, 4);
+        let mut rt = RtUnit::new(0, 4, TraversalPolicy::CoopRt);
         let mut m = mem();
-        rt.issue(TraceQuery::closest_hit(0, rays), 0, &scene);
-        let _ = run_to_retire(&mut rt, &mut m, &scene, TraversalPolicy::CoopRt, &cfg);
+        issue(&mut rt, TraceQuery::closest_hit(0, rays), &scene);
+        let _ = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
         assert!(rt.events.lbu_moves > 0, "LBU should have moved nodes");
     }
 
@@ -1279,10 +1247,14 @@ mod tests {
     fn baseline_never_uses_the_lbu() {
         let scene = test_scene(60);
         let cfg = GpuConfig::small(1);
-        let mut rt = RtUnit::new(0, 4);
+        let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
         let mut m = mem();
-        rt.issue(TraceQuery::closest_hit(0, warp_rays(&scene, 2)), 0, &scene);
-        let _ = run_to_retire(&mut rt, &mut m, &scene, TraversalPolicy::Baseline, &cfg);
+        issue(
+            &mut rt,
+            TraceQuery::closest_hit(0, warp_rays(&scene, 2)),
+            &scene,
+        );
+        let _ = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
         assert_eq!(rt.events.lbu_moves, 0);
     }
 
@@ -1294,10 +1266,10 @@ mod tests {
         // one memory access.
         let ray = scene.camera.primary_ray(0.5, 0.5);
         let rays = [Some(ray); WARP_SIZE];
-        let mut rt = RtUnit::new(0, 4);
+        let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
         let mut m = mem();
-        rt.issue(TraceQuery::closest_hit(0, rays), 0, &scene);
-        let _ = run_to_retire(&mut rt, &mut m, &scene, TraversalPolicy::Baseline, &cfg);
+        issue(&mut rt, TraceQuery::closest_hit(0, rays), &scene);
+        let _ = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
         let one_ray_nodes = {
             let mut counters = cooprt_bvh::traverse::TraversalCounters::default();
             let _ = cooprt_bvh::traverse::closest_hit_counted(
@@ -1323,7 +1295,7 @@ mod tests {
         let cfg = GpuConfig::small(1);
         let rays = warp_rays(&scene, WARP_SIZE);
         let run = |any_hit: bool| {
-            let mut rt = RtUnit::new(0, 4);
+            let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
             let mut m = mem();
             let q = TraceQuery {
                 warp: 0,
@@ -1332,8 +1304,8 @@ mod tests {
                 any_hit,
                 gather: false,
             };
-            rt.issue(q, 0, &scene);
-            let (res, t) = run_to_retire(&mut rt, &mut m, &scene, TraversalPolicy::Baseline, &cfg);
+            issue(&mut rt, q, &scene);
+            let (res, t) = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
             (res, t)
         };
         let (closest, t_closest) = run(false);
@@ -1365,7 +1337,7 @@ mod tests {
         }
         let mut per_policy = Vec::new();
         for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
-            let mut rt = RtUnit::new(0, 4);
+            let mut rt = RtUnit::new(0, 4, policy);
             let mut m = mem();
             let q = TraceQuery {
                 warp: 0,
@@ -1374,8 +1346,8 @@ mod tests {
                 any_hit: false,
                 gather: true,
             };
-            assert!(rt.issue(q, 0, &scene));
-            let (res, _) = run_to_retire(&mut rt, &mut m, &scene, policy, &cfg);
+            assert!(issue(&mut rt, q, &scene));
+            let (res, _) = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
             assert!(
                 res[0].hits.iter().all(|h| h.is_none()),
                 "gather never reports hits ({policy:?})"
@@ -1405,22 +1377,22 @@ mod tests {
         let rays = warp_rays(&scene, 8);
         let mut q = TraceQuery::closest_hit(0, rays);
         q.t_max = [0.01; WARP_SIZE]; // nothing is this close
-        let mut rt = RtUnit::new(0, 4);
+        let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
         let mut m = mem();
-        rt.issue(q, 0, &scene);
-        let (res, _) = run_to_retire(&mut rt, &mut m, &scene, TraversalPolicy::Baseline, &cfg);
+        issue(&mut rt, q, &scene);
+        let (res, _) = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
         assert!(res[0].hits.iter().all(|h| h.is_none()));
     }
 
     #[test]
     fn warp_buffer_capacity_is_enforced() {
         let scene = test_scene(10);
-        let mut rt = RtUnit::new(0, 2);
+        let mut rt = RtUnit::new(0, 2, TraversalPolicy::Baseline);
         let rays = warp_rays(&scene, 4);
-        assert!(rt.issue(TraceQuery::closest_hit(0, rays), 0, &scene));
-        assert!(rt.issue(TraceQuery::closest_hit(1, rays), 0, &scene));
+        assert!(issue(&mut rt, TraceQuery::closest_hit(0, rays), &scene));
+        assert!(issue(&mut rt, TraceQuery::closest_hit(1, rays), &scene));
         assert!(!rt.has_free_slot());
-        assert!(!rt.issue(TraceQuery::closest_hit(2, rays), 0, &scene));
+        assert!(!issue(&mut rt, TraceQuery::closest_hit(2, rays), &scene));
         assert_eq!(rt.occupied(), 2);
     }
 
@@ -1433,10 +1405,10 @@ mod tests {
         for r in rays.iter_mut().take(8) {
             *r = Some(Ray::new(Vec3::new(0.0, 50.0, 0.0), Vec3::Y));
         }
-        let mut rt = RtUnit::new(0, 4);
+        let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
         let mut m = mem();
-        rt.issue(TraceQuery::closest_hit(0, rays), 0, &scene);
-        let (res, t) = run_to_retire(&mut rt, &mut m, &scene, TraversalPolicy::Baseline, &cfg);
+        issue(&mut rt, TraceQuery::closest_hit(0, rays), &scene);
+        let (res, t) = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
         assert!(t < 5, "nothing to traverse: retires in the first cycles");
         assert!(res[0].hits.iter().all(|h| h.is_none()));
     }
@@ -1444,11 +1416,15 @@ mod tests {
     #[test]
     fn rays_issued_counts_active_threads() {
         let scene = test_scene(10);
-        let mut rt = RtUnit::new(0, 4);
-        rt.issue(TraceQuery::closest_hit(0, warp_rays(&scene, 5)), 0, &scene);
-        rt.issue(
+        let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
+        issue(
+            &mut rt,
+            TraceQuery::closest_hit(0, warp_rays(&scene, 5)),
+            &scene,
+        );
+        issue(
+            &mut rt,
             TraceQuery::closest_hit(1, warp_rays(&scene, WARP_SIZE)),
-            0,
             &scene,
         );
         assert_eq!(rt.rays_issued, 5 + WARP_SIZE as u64);
@@ -1458,8 +1434,8 @@ mod tests {
     fn status_sampling_tracks_masks() {
         let scene = test_scene(40);
         let rays = warp_rays(&scene, 10);
-        let mut rt = RtUnit::new(0, 4);
-        rt.issue(TraceQuery::closest_hit(0, rays), 0, &scene);
+        let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
+        issue(&mut rt, TraceQuery::closest_hit(0, rays), &scene);
         let s = rt.sample_status();
         assert_eq!(s.total(), WARP_SIZE);
         assert_eq!(s.inactive, WARP_SIZE - 10);
@@ -1474,14 +1450,14 @@ mod tests {
         let cfg = GpuConfig::small(1);
         let rays = warp_rays(&scene, 6);
         for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
-            let checker = crate::check::Checker::enabled();
-            let mut rt = RtUnit::new(0, 4);
-            rt.set_checker(checker.clone());
+            let checker = Checker::enabled();
+            let mut probe = Probe::new(&Tracer::disabled(), &checker);
+            let mut rt = RtUnit::new(0, 4, policy);
             let mut m = mem();
-            rt.issue(TraceQuery::closest_hit(0, rays), 0, &scene);
-            assert_eq!(rt.in_flight_rays(), 6);
-            let _ = run_to_retire(&mut rt, &mut m, &scene, policy, &cfg);
-            assert_eq!(rt.in_flight_rays(), 0);
+            rt.issue(TraceQuery::closest_hit(0, rays), 0, &scene, &mut probe);
+            let (retired, now) = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut probe);
+            assert_eq!(retired.len(), 1);
+            probe.finish(now);
             assert!(
                 checker.checks_run() > 0,
                 "checked run must evaluate invariants ({policy:?})"
@@ -1494,14 +1470,16 @@ mod tests {
     fn corrupted_lbu_pair_is_caught_by_the_checker() {
         let scene = test_scene(60);
         let cfg = GpuConfig::small(1);
-        let checker = crate::check::Checker::enabled();
-        let mut rt = RtUnit::new(0, 4);
-        rt.set_checker(checker.clone());
-        rt.issue(TraceQuery::closest_hit(3, warp_rays(&scene, 8)), 0, &scene);
+        let checker = Checker::enabled();
+        let mut probe = Probe::new(&Tracer::disabled(), &checker);
+        let mut rt = RtUnit::new(0, 4, TraversalPolicy::CoopRt);
+        let query = TraceQuery::closest_hit(3, warp_rays(&scene, 8));
+        rt.issue(query, 0, &scene, &mut probe);
         // Threads 0..8 all pushed the root: thread 1 is busy, so pairing
         // it as a *helper* violates the LBU contract. `find_pairs` would
         // never emit this; inject it directly (the mutation).
-        rt.force_lbu_move(3, LbuPair { helper: 1, main: 0 }, &cfg, 0);
+        rt.force_lbu_move(3, LbuPair { helper: 1, main: 0 }, &cfg, 0, &mut probe);
+        probe.finish(0);
         let violations = checker.violations();
         assert!(
             violations.iter().any(|v| v.contains("helper thread 1")),
@@ -1513,12 +1491,16 @@ mod tests {
     fn next_event_reports_progress_opportunities() {
         let scene = test_scene(20);
         let cfg = GpuConfig::small(1);
-        let mut rt = RtUnit::new(0, 4);
+        let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
         // Empty unit: no events.
-        assert_eq!(rt.next_event(0, TraversalPolicy::Baseline, 32), None);
-        rt.issue(TraceQuery::closest_hit(0, warp_rays(&scene, 4)), 0, &scene);
+        assert_eq!(rt.next_event(0, 32), None);
+        issue(
+            &mut rt,
+            TraceQuery::closest_hit(0, warp_rays(&scene, 4)),
+            &scene,
+        );
         // Threads can issue right away.
-        assert_eq!(rt.next_event(5, TraversalPolicy::Baseline, 32), Some(5));
+        assert_eq!(rt.next_event(5, 32), Some(5));
         // After issuing, the next event is the memory response.
         let mut m = mem();
         let mut retired = Vec::new();
@@ -1526,11 +1508,11 @@ mod tests {
             5,
             &mut m,
             &scene,
-            TraversalPolicy::Baseline,
             &cfg,
+            &mut Probe::disabled(),
             &mut retired,
         );
-        let ev = rt.next_event(6, TraversalPolicy::Baseline, 32);
+        let ev = rt.next_event(6, 32);
         assert!(ev.is_some());
     }
 }

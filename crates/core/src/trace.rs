@@ -7,8 +7,8 @@
 //! behind a compact binary trace:
 //!
 //! - **Record** ([`Trace::record`]): a live run with a [`Recorder`]
-//!   installed (the same zero-cost-when-disabled tap pattern as
-//!   [`Tracer`](cooprt_telemetry::Tracer) / [`Checker`](crate::Checker))
+//!   installed (a zero-cost-when-disabled tap, like the
+//!   [`Tracer`](cooprt_telemetry::Tracer))
 //!   captures every `(ray, t_max)` a shader thread submits at the
 //!   warp-issue boundary, the per-SM `trace_ray` issue stream, the
 //!   final image, and the serialized BVH. Recording is observational:
@@ -187,9 +187,12 @@ struct RecordState {
 /// Shared handle installed into a [`Simulation`] to capture the front
 /// end of one frame (see [`Simulation::with_recorder`]).
 ///
-/// Same shape as [`Tracer`](cooprt_telemetry::Tracer) and
-/// [`Checker`](crate::Checker): a disabled recorder is a `None` and
-/// every tap is a single branch, so the default path pays nothing.
+/// Same shape as [`Tracer`](cooprt_telemetry::Tracer): a disabled
+/// recorder is a `None` and every tap is a single branch, so the
+/// default path pays nothing. The engine taps it directly, not through
+/// the frame's [`Probe`](cooprt_telemetry::Probe): it captures the ray
+/// payloads of each `trace_ray`, which no
+/// [`EventKind`](cooprt_telemetry::EventKind) carries.
 #[derive(Clone, Debug, Default)]
 pub struct Recorder {
     inner: Option<Arc<Mutex<RecordState>>>,

@@ -1,6 +1,6 @@
 //! Multi-channel DRAM with per-channel queueing and finite bandwidth.
 
-use cooprt_telemetry::{EventKind, Tracer};
+use cooprt_telemetry::{EventKind, Probe};
 
 /// Aggregate DRAM counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -26,11 +26,13 @@ pub struct DramStats {
 ///
 /// ```
 /// use cooprt_gpu::Dram;
+/// use cooprt_telemetry::Probe;
 ///
 /// let mut dram = Dram::new(1, 32.0, 100);
-/// let t1 = dram.request(0, 128, 0);
+/// let mut probe = Probe::disabled();
+/// let t1 = dram.request(0, 128, 0, &mut probe);
 /// // A second request to the same (only) channel queues behind the first.
-/// let t2 = dram.request(4096, 128, 0);
+/// let t2 = dram.request(4096, 128, 0, &mut probe);
 /// assert!(t2 > t1);
 /// ```
 #[derive(Clone, Debug)]
@@ -41,7 +43,6 @@ pub struct Dram {
     latency: u64,
     stats: DramStats,
     channel_busy: Vec<u64>,
-    tracer: Tracer,
 }
 
 impl Dram {
@@ -60,19 +61,13 @@ impl Dram {
             latency,
             stats: DramStats::default(),
             channel_busy: vec![0; channels],
-            tracer: Tracer::disabled(),
         }
     }
 
-    /// Install a tracer; channel-busy intervals are emitted through it.
-    /// Purely observational — no timing decision reads the tracer.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
-    }
-
     /// Issues a line fill of `bytes` at address `addr` at time `now`;
-    /// returns the completion cycle.
-    pub fn request(&mut self, addr: u64, bytes: u32, now: u64) -> u64 {
+    /// returns the completion cycle. The channel-busy interval is
+    /// emitted through `probe`.
+    pub fn request(&mut self, addr: u64, bytes: u32, now: u64, probe: &mut Probe) -> u64 {
         let ch = self.channel_of(addr);
         let service = (bytes as f64 / self.bytes_per_cycle).ceil() as u64;
         let start = now.max(self.busy_until[ch]);
@@ -84,7 +79,7 @@ impl Dram {
         self.stats.bytes += bytes as u64;
         self.stats.busy_cycles += service;
         self.channel_busy[ch] += service;
-        self.tracer.emit(now, || EventKind::DramBusy {
+        probe.emit(now, || EventKind::DramBusy {
             channel: ch as u32,
             start,
             service,
@@ -126,15 +121,15 @@ mod tests {
     #[test]
     fn latency_applies_to_isolated_request() {
         let mut d = Dram::new(2, 32.0, 100);
-        let done = d.request(0, 128, 1000);
+        let done = d.request(0, 128, 1000, &mut Probe::disabled());
         assert_eq!(done, 1000 + 100 + 4);
     }
 
     #[test]
     fn same_channel_requests_queue() {
         let mut d = Dram::new(1, 32.0, 100);
-        let t1 = d.request(0, 128, 0);
-        let t2 = d.request(1 << 20, 128, 0);
+        let t1 = d.request(0, 128, 0, &mut Probe::disabled());
+        let t2 = d.request(1 << 20, 128, 0, &mut Probe::disabled());
         assert_eq!(t1, 104);
         // Second transfer starts when the bus frees at cycle 4.
         assert_eq!(t2, 4 + 104);
@@ -143,8 +138,8 @@ mod tests {
     #[test]
     fn different_channels_proceed_in_parallel() {
         let mut d = Dram::new(2, 32.0, 100);
-        let a = d.request(0, 128, 0); // channel 0
-        let b = d.request(256, 128, 0); // channel 1
+        let a = d.request(0, 128, 0, &mut Probe::disabled()); // channel 0
+        let b = d.request(256, 128, 0, &mut Probe::disabled()); // channel 1
         assert_eq!(a, b, "parallel channels see no queueing");
     }
 
@@ -160,8 +155,8 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let mut d = Dram::new(2, 64.0, 50);
-        d.request(0, 128, 0);
-        d.request(256, 256, 0);
+        d.request(0, 128, 0, &mut Probe::disabled());
+        d.request(256, 256, 0, &mut Probe::disabled());
         let s = d.stats();
         assert_eq!(s.requests, 2);
         assert_eq!(s.bytes, 384);
@@ -171,7 +166,7 @@ mod tests {
     #[test]
     fn utilization_is_fraction_of_channel_cycles() {
         let mut d = Dram::new(2, 32.0, 0);
-        d.request(0, 320, 0); // 10 busy cycles on channel 0
+        d.request(0, 320, 0, &mut Probe::disabled()); // 10 busy cycles on channel 0
         assert!((d.utilization(10) - 0.5).abs() < 1e-12);
         assert_eq!(d.utilization(0), 0.0);
     }
@@ -181,7 +176,7 @@ mod tests {
         let mut d = Dram::new(1, 8.0, 10);
         let mut last = 0;
         for i in 0..10 {
-            last = d.request(i << 20, 128, 0);
+            last = d.request(i << 20, 128, 0, &mut Probe::disabled());
         }
         // 10 requests x 16 service cycles each, fully serialized.
         assert_eq!(last, 9 * 16 + 10 + 16);

@@ -1,7 +1,7 @@
 //! The L1 → L2 → DRAM access path.
 
 use crate::{Cache, CacheStats, Dram, DramStats, MemoryConfig, Mshr, MshrStats};
-use cooprt_telemetry::{AccessOutcome, CacheLevel, EventKind, Tracer};
+use cooprt_telemetry::{AccessOutcome, CacheLevel, EventKind, Probe};
 
 /// Aggregated memory-system statistics for one simulation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -64,7 +64,6 @@ pub struct MemoryHierarchy {
     l2_bytes: u64,
     dram_bytes: u64,
     prefetches: u64,
-    tracer: Tracer,
 }
 
 impl MemoryHierarchy {
@@ -90,36 +89,45 @@ impl MemoryHierarchy {
             l2_bytes: 0,
             dram_bytes: 0,
             prefetches: 0,
-            tracer: Tracer::disabled(),
         }
     }
 
-    /// Install a tracer on the hierarchy (and its DRAM): cache probes
-    /// and channel-busy intervals are emitted through it. Purely
-    /// observational — no latency or fill decision reads the tracer.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.dram.set_tracer(tracer.clone());
-        self.tracer = tracer;
-    }
-
-    /// Performs a read of `bytes` at `addr` from SM `sm` at time `now`.
-    /// Returns the completion cycle.
+    /// Performs a read of `bytes` at `addr` from SM `sm` at time `now`,
+    /// outside any observed frame. Returns the completion cycle.
     ///
     /// # Panics
     ///
     /// Panics if `sm` is out of range.
     pub fn access(&mut self, sm: usize, addr: u64, bytes: u32, now: u64) -> u64 {
+        self.access_probed(sm, addr, bytes, now, &mut Probe::disabled())
+    }
+
+    /// [`MemoryHierarchy::access`] within a frame: cache probes and
+    /// DRAM channel-busy intervals are emitted through `probe`. Purely
+    /// observational — no latency or fill decision reads the probe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sm` is out of range.
+    pub fn access_probed(
+        &mut self,
+        sm: usize,
+        addr: u64,
+        bytes: u32,
+        now: u64,
+        probe: &mut Probe,
+    ) -> u64 {
         let (first, count) = self.l1s[sm].lines_covering(addr, bytes);
         let mut done = now;
         for i in 0..count {
-            let t = self.access_one_line(sm, first + i, now);
+            let t = self.access_one_line(sm, first + i, now, probe);
             done = done.max(t);
         }
         done
     }
 
     /// Fetches one line; returns its arrival cycle.
-    fn access_one_line(&mut self, sm: usize, line: u64, now: u64) -> u64 {
+    fn access_one_line(&mut self, sm: usize, line: u64, now: u64, probe: &mut Probe) -> u64 {
         let line_bytes = self.config.line_bytes as u64;
         let line_addr = line * line_bytes;
         let mut t = now + self.config.l1_latency;
@@ -128,7 +136,7 @@ impl MemoryHierarchy {
             // The line's fill is still in flight (a prefetch or an
             // earlier miss): whether the tag already matched or not,
             // the data arrives only when the fill lands.
-            self.tracer.emit(now, || EventKind::CacheAccess {
+            probe.emit(now, || EventKind::CacheAccess {
                 sm: sm as u32,
                 level: CacheLevel::L1,
                 line: line_addr,
@@ -136,7 +144,7 @@ impl MemoryHierarchy {
             });
             return t.max(fill_done);
         }
-        self.tracer.emit(now, || EventKind::CacheAccess {
+        probe.emit(now, || EventKind::CacheAccess {
             sm: sm as u32,
             level: CacheLevel::L1,
             line: line_addr,
@@ -154,7 +162,7 @@ impl MemoryHierarchy {
         self.l2_bytes += line_bytes;
         let l2_hit = self.l2.access_line(line_addr);
         let in_flight = self.l2_mshr.lookup(line, now);
-        self.tracer.emit(now, || EventKind::CacheAccess {
+        probe.emit(now, || EventKind::CacheAccess {
             sm: sm as u32,
             level: CacheLevel::L2,
             line: line_addr,
@@ -172,7 +180,9 @@ impl MemoryHierarchy {
             (true, None) => {}
             (false, None) => {
                 self.dram_bytes += line_bytes;
-                let dram_done = self.dram.request(line_addr, self.config.line_bytes, now);
+                let dram_done = self
+                    .dram
+                    .request(line_addr, self.config.line_bytes, now, probe);
                 self.l2_mshr.insert(line, dram_done, now);
                 t = t.max(dram_done + self.config.l2_latency);
             }
@@ -185,12 +195,12 @@ impl MemoryHierarchy {
     /// lines travel the same L1 → L2 → DRAM path (consuming the same
     /// bandwidth and MSHR entries) but nothing waits on them — later
     /// demand accesses find the lines resident, or in flight at the
-    /// MSHRs.
-    pub fn prefetch(&mut self, sm: usize, addr: u64, bytes: u32, now: u64) {
+    /// MSHRs. Cache probes are emitted through `probe`.
+    pub fn prefetch(&mut self, sm: usize, addr: u64, bytes: u32, now: u64, probe: &mut Probe) {
         self.prefetches += 1;
         let (first, count) = self.l1s[sm].lines_covering(addr, bytes);
         for i in 0..count {
-            let _ = self.access_one_line(sm, first + i, now);
+            let _ = self.access_one_line(sm, first + i, now, probe);
         }
     }
 
@@ -345,7 +355,7 @@ mod tests {
     #[test]
     fn prefetch_hides_latency_without_blocking() {
         let mut m = MemoryHierarchy::new(&small_config());
-        m.prefetch(0, 0, 64, 0);
+        m.prefetch(0, 0, 64, 0, &mut Probe::disabled());
         assert_eq!(m.stats().prefetches, 1);
         assert_eq!(m.stats().dram.requests, 1, "prefetch fetches through DRAM");
         // A demand access long after the prefetch completed: L1 hit.
@@ -354,7 +364,7 @@ mod tests {
         // A demand access right after the prefetch still waits for the
         // fill, but issues no duplicate DRAM request.
         let mut m2 = MemoryHierarchy::new(&small_config());
-        m2.prefetch(0, 4096, 64, 0);
+        m2.prefetch(0, 4096, 64, 0, &mut Probe::disabled());
         let before = m2.stats().dram.requests;
         let t2 = m2.access(0, 4096, 64, 5);
         assert_eq!(m2.stats().dram.requests, before);

@@ -407,8 +407,8 @@ pub struct RequestSpans {
 /// document (1 µs = 1 µs here; these are real wall-clock spans, not
 /// simulated cycles).
 ///
-/// Track layout: one `Server` process ([`SERVE_PID`], matching the
-/// sim-time trace's request-marker track) with one thread per request
+/// Track layout: one `Server` process (the same pid as the sim-time
+/// trace's request-marker track) with one thread per request
 /// named `request <id>`. Spans are complete (`X`) events; rows are
 /// stably sorted by timestamp so the document passes
 /// [`crate::validate_chrome_trace`].

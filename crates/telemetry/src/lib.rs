@@ -6,10 +6,14 @@
 //! the rest of the workspace plugs into:
 //!
 //! - [`Tracer`] — a zero-overhead-when-disabled handle for sim-time
-//!   event tracing. The engine, RT units, LBU and memory hierarchy emit
-//!   typed, cycle-stamped [`TraceEvent`]s through it; when the tracer is
-//!   disabled the emission closure is never run and the hot path pays a
-//!   single branch on an `Option`.
+//!   event tracing: it collects typed, cycle-stamped [`TraceEvent`]s;
+//!   when the tracer is disabled the emission closure is never run.
+//! - [`Probe`] / [`Checker`] — the one observation point of a
+//!   simulated frame. The engine builds a [`Probe`] per frame from the
+//!   run's [`Tracer`] and [`Checker`] and lends it to the RT units, the
+//!   LBU and the memory hierarchy; it forwards their events to the
+//!   tracer and, when checking, verifies the engine invariants in
+//!   frame-local state that it hands to the [`Checker`] at frame end.
 //! - [`chrome_trace_json`] — exports a captured [`TraceLog`] as Chrome
 //!   trace-event JSON loadable in Perfetto (`ui.perfetto.dev`), with
 //!   warps, RT-unit fetch streams, the LBU, caches and DRAM channels as
@@ -39,8 +43,8 @@
 //!
 //! The hard invariant, enforced by the `golden_cycles` suite in
 //! `cooprt-bench`: telemetry is purely observational. Running a frame
-//! with the tracer fully enabled must produce bitwise-identical cycle
-//! counts to an untraced run.
+//! with the tracer and checker fully enabled must produce
+//! bitwise-identical cycle counts to an unobserved run.
 //!
 //! # Examples
 //!
@@ -58,6 +62,7 @@
 mod chrome;
 mod json;
 mod log;
+mod probe;
 mod prom;
 mod slo;
 mod spans;
@@ -69,6 +74,7 @@ pub use chrome::{
 };
 pub use json::{json_escape, JsonWriter};
 pub use log::{LogFields, LogFilter, LogLevel, LogValue, Logger};
+pub use probe::{Checker, Probe};
 pub use prom::{
     prom_escape, validate_prometheus, FixedHistogram, HistogramSnapshot, PromCheck, PromKind,
     PromWriter,

@@ -1,10 +1,11 @@
 //! Sim-time event tracing: the [`Tracer`] handle and event taxonomy.
 //!
 //! Every simulator component that makes a scheduling-relevant decision
-//! holds a cloned [`Tracer`]. When tracing is disabled (the default)
-//! the handle is a `None` and [`Tracer::emit`] is a single branch — the
-//! event-construction closure is never even run, so the hot path pays
-//! nothing for the instrumentation.
+//! emits through the frame's [`Probe`](crate::Probe), which forwards to
+//! the [`Tracer`] installed on the run. When tracing is disabled (the
+//! default) the handle is a `None` and [`Tracer::emit`] is a single
+//! branch — the event-construction closure is never even run, so the
+//! hot path pays nothing for the instrumentation.
 //!
 //! When enabled, events go into a shared, mutex-protected buffer with a
 //! configurable capacity. Past the capacity, events are *counted* but
@@ -206,9 +207,9 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 4_000_000;
 
 /// A cheap, cloneable handle for emitting simulator events.
 ///
-/// Clones share one buffer, so the engine can hand a clone to every SM
-/// and to the memory hierarchy and collect everything with a single
-/// [`Tracer::take`]. The handle is `Send + Sync` (the buffer sits
+/// Clones share one buffer, so every frame's [`Probe`](crate::Probe)
+/// emits into the caller's handle and a single [`Tracer::take`]
+/// collects everything. The handle is `Send + Sync` (the buffer sits
 /// behind a mutex) because `Simulation` values are shared by reference
 /// across the worker pool.
 #[derive(Clone, Debug, Default)]

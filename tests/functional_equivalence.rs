@@ -9,6 +9,7 @@ use cooprt::core::{RtUnit, TraceQuery};
 use cooprt::gpu::MemoryHierarchy;
 use cooprt::math::Ray;
 use cooprt::scenes::{Scene, SceneId};
+use cooprt::telemetry::Probe;
 
 fn primary_rays(scene: &Scene, n: usize) -> [Option<Ray>; WARP_SIZE] {
     let mut rays = [None; WARP_SIZE];
@@ -23,13 +24,13 @@ fn drain_rt(
     rt: &mut RtUnit,
     mem: &mut MemoryHierarchy,
     scene: &Scene,
-    policy: TraversalPolicy,
     cfg: &GpuConfig,
 ) -> Vec<cooprt::core::TraceResult> {
     let mut retired = Vec::new();
     let mut now = 0;
+    let mut probe = Probe::disabled();
     while rt.occupied() > 0 {
-        rt.step(now, mem, scene, policy, cfg, &mut retired);
+        rt.step(now, mem, scene, cfg, &mut probe, &mut retired);
         now += 1;
         assert!(now < 50_000_000, "RT unit wedged");
     }
@@ -76,10 +77,11 @@ fn rt_unit_matches_cpu_reference_for_all_policies_and_subwarps() {
     ];
     for (policy, subwarp) in cases {
         let cfg = GpuConfig::small(1).with_subwarp(subwarp);
-        let mut rt = RtUnit::new(0, cfg.warp_buffer_size);
+        let mut rt = RtUnit::new(0, cfg.warp_buffer_size, policy);
         let mut mem = MemoryHierarchy::new(&cfg.mem);
-        assert!(rt.issue(TraceQuery::closest_hit(0, rays), 0, &scene));
-        let retired = drain_rt(&mut rt, &mut mem, &scene, policy, &cfg);
+        let query = TraceQuery::closest_hit(0, rays);
+        assert!(rt.issue(query, 0, &scene, &mut Probe::disabled()));
+        let retired = drain_rt(&mut rt, &mut mem, &scene, &cfg);
         assert_eq!(retired.len(), 1);
         for (i, exp) in expected.iter().enumerate() {
             let got = retired[0].hits[i];
@@ -125,10 +127,11 @@ fn warp_with_mixed_active_and_masked_threads_is_exact() {
     let cfg = GpuConfig::small(1);
     let rays = primary_rays(&scene, 5); // 27 masked threads
     for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
-        let mut rt = RtUnit::new(0, 4);
+        let mut rt = RtUnit::new(0, 4, policy);
         let mut mem = MemoryHierarchy::new(&cfg.mem);
-        rt.issue(TraceQuery::closest_hit(0, rays), 0, &scene);
-        let retired = drain_rt(&mut rt, &mut mem, &scene, policy, &cfg);
+        let query = TraceQuery::closest_hit(0, rays);
+        rt.issue(query, 0, &scene, &mut Probe::disabled());
+        let retired = drain_rt(&mut rt, &mut mem, &scene, &cfg);
         for i in 5..WARP_SIZE {
             assert!(
                 retired[0].hits[i].is_none(),
@@ -156,10 +159,10 @@ fn any_hit_results_agree_with_reference_any_hit() {
     query.any_hit = true;
     query.t_max = [20.0; WARP_SIZE];
     for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
-        let mut rt = RtUnit::new(0, 4);
+        let mut rt = RtUnit::new(0, 4, policy);
         let mut mem = MemoryHierarchy::new(&cfg.mem);
-        rt.issue(query.clone(), 0, &scene);
-        let retired = drain_rt(&mut rt, &mut mem, &scene, policy, &cfg);
+        rt.issue(query.clone(), 0, &scene, &mut Probe::disabled());
+        let retired = drain_rt(&mut rt, &mut mem, &scene, &cfg);
         #[allow(clippy::needless_range_loop)] // i is the SIMT lane id
         for i in 0..16 {
             let expected = cooprt::bvh::traverse::any_hit(&scene.image, &rays[i].unwrap(), 20.0);
