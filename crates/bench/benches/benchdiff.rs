@@ -10,14 +10,15 @@
 //! cargo bench -p cooprt-bench --bench benchdiff -- --write-baseline
 //! ```
 //!
-//! The metric list, tolerances, and comparison semantics live in
-//! [`cooprt_bench::diff`]; this target is just the file I/O and exit
-//! code. `ci.sh` runs the comparison as a *soft* gate (warn, don't
-//! fail) because half the metrics are wall-clock and the baseline may
-//! have been pinned on different hardware.
+//! A metric path's first segment `x` reads the report `BENCH_x.json`
+//! at the repository root. The metric list, tolerances, and comparison
+//! semantics live in [`cooprt_bench::diff`]; this target is just the
+//! file I/O and exit code. `ci.sh` runs the comparison as a *soft*
+//! gate (warn, don't fail) because half the metrics are wall-clock and
+//! the baseline may have been pinned on different hardware.
 
-use cooprt_bench::diff::Baseline;
-use cooprt_telemetry::parse_json;
+use cooprt_bench::diff::{default_specs, load_reports, Baseline};
+use std::path::Path;
 
 /// Repository root (the bench binary's cwd is the package dir, so
 /// default paths anchor on the manifest like the other bench targets).
@@ -25,45 +26,34 @@ const REPO_ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
 struct Args {
     baseline: String,
-    simperf: String,
-    serve: String,
     write_baseline: bool,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         baseline: format!("{REPO_ROOT}/ci/bench_baseline.json"),
-        simperf: format!("{REPO_ROOT}/BENCH_simperf.json"),
-        serve: format!("{REPO_ROOT}/BENCH_serve.json"),
         write_baseline: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i)
-                .unwrap_or_else(|| {
-                    eprintln!("missing value after {}", argv[*i - 1]);
+    let mut argv = std::env::args().skip(1);
+    while let Some(arg) = argv.next() {
+        match arg.as_str() {
+            "--baseline" => {
+                args.baseline = argv.next().unwrap_or_else(|| {
+                    eprintln!("missing value after --baseline");
                     std::process::exit(2);
                 })
-                .clone()
-        };
-        match argv[i].as_str() {
-            "--baseline" => args.baseline = value(&mut i),
-            "--simperf" => args.simperf = value(&mut i),
-            "--serve" => args.serve = value(&mut i),
+            }
             "--write-baseline" => args.write_baseline = true,
             // Ignore the libtest flag cargo bench passes by default.
             "--bench" => {}
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: benchdiff [--baseline FILE] [--simperf FILE] [--serve FILE] [--write-baseline]\n\
+                    "usage: benchdiff [--baseline FILE] [--write-baseline]\n\
                      \n\
-                     --baseline FILE   pinned baseline         [default: ci/bench_baseline.json]\n\
-                     --simperf FILE    current simperf report  [default: BENCH_simperf.json]\n\
-                     --serve FILE      current serve report    [default: BENCH_serve.json]\n\
-                     --write-baseline  re-pin the baseline from the current reports"
+                     --baseline FILE   pinned baseline  [default: ci/bench_baseline.json]\n\
+                     --write-baseline  re-pin the baseline from the current reports\n\
+                     \n\
+                     A metric path 'x.<...>' reads BENCH_x.json at the repository root."
                 );
                 std::process::exit(0);
             }
@@ -72,33 +62,25 @@ fn parse_args() -> Args {
                 std::process::exit(2);
             }
         }
-        i += 1;
     }
     args
 }
 
-fn load(path: &str) -> cooprt_telemetry::JsonValue {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("benchdiff: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    parse_json(&text).unwrap_or_else(|e| {
-        eprintln!("benchdiff: {path} is not valid JSON: {e}");
-        std::process::exit(2);
-    })
+fn fail(message: String) -> ! {
+    eprintln!("benchdiff: {message}");
+    std::process::exit(2);
 }
 
 fn main() {
     let args = parse_args();
-    let simperf = load(&args.simperf);
-    let serve = load(&args.serve);
+    let root = Path::new(REPO_ROOT);
 
     if args.write_baseline {
-        let baseline = Baseline::capture(&simperf, &serve);
-        std::fs::write(&args.baseline, baseline.to_json()).unwrap_or_else(|e| {
-            eprintln!("benchdiff: cannot write {}: {e}", args.baseline);
-            std::process::exit(2);
-        });
+        let specs = default_specs();
+        let reports = load_reports(root, &specs).unwrap_or_else(|e| fail(e));
+        let baseline = Baseline::capture(&reports);
+        std::fs::write(&args.baseline, baseline.to_json())
+            .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", args.baseline)));
         println!(
             "benchdiff: pinned {} metrics to {}",
             baseline.metrics.len(),
@@ -107,15 +89,12 @@ fn main() {
         return;
     }
 
-    let baseline_text = std::fs::read_to_string(&args.baseline).unwrap_or_else(|e| {
-        eprintln!("benchdiff: cannot read baseline {}: {e}", args.baseline);
-        std::process::exit(2);
-    });
-    let baseline = Baseline::from_json(&baseline_text).unwrap_or_else(|e| {
-        eprintln!("benchdiff: {e}");
-        std::process::exit(2);
-    });
-    let report = baseline.compare(&simperf, &serve);
+    let baseline_text = std::fs::read_to_string(&args.baseline)
+        .unwrap_or_else(|e| fail(format!("cannot read baseline {}: {e}", args.baseline)));
+    let baseline = Baseline::from_json(&baseline_text).unwrap_or_else(|e| fail(e));
+    let reports = load_reports(root, baseline.metrics.iter().map(|(spec, _)| spec))
+        .unwrap_or_else(|e| fail(e));
+    let report = baseline.compare(&reports);
     print!("{}", report.render());
     if report.passed() {
         println!("benchdiff: all {} metrics within bounds", report.rows.len());

@@ -1,17 +1,18 @@
 //! Perf-regression diffing for the checked-in BENCH reports.
 //!
-//! `BENCH_simperf.json` and `BENCH_serve.json` record what the
-//! simulator and the serve path measured when they were last
-//! regenerated. This module compares those reports against a pinned
-//! baseline (`ci/bench_baseline.json`) with per-metric thresholds, so a
-//! change that silently regresses cycle counts, cache behavior, or SLO
-//! attainment fails loudly in CI instead of drifting.
+//! `BENCH_simperf.json`, `BENCH_serve.json` and `BENCH_paper.json`
+//! record what the simulator, the serve path and the paper's figures
+//! measured when they were last regenerated. This module compares those
+//! reports against a pinned baseline (`ci/bench_baseline.json`) with
+//! per-metric thresholds, so a change that silently regresses cycle
+//! counts, cache behavior, a reproduced paper claim or SLO attainment
+//! fails loudly in CI instead of drifting.
 //!
 //! Two metric classes get different treatment:
 //!
 //! - **deterministic** values (simulated cycle counts, cache hit
-//!   rates) are compared exactly — any drift is a real behavioral
-//!   change;
+//!   rates, the paper's headline numbers) are compared exactly — any
+//!   drift is a real behavioral change;
 //! - **wall-clock** values (requests/sec, latency quantiles) are
 //!   machine-dependent, so they carry wide tolerances and only catch
 //!   order-of-magnitude regressions. The `benchdiff` gate in `ci.sh`
@@ -20,9 +21,12 @@
 //! Metric addresses are dotted paths into the report JSON, with
 //! `[key=value,...]` selectors to pick a row out of an array:
 //! `simperf.scenes[scene=wknd,policy=cooprt].cycles`. The first path
-//! segment names the source report (`simperf` or `serve`).
+//! segment `x` names the source report, the file `BENCH_x.json` at the
+//! repository root.
 
 use cooprt_telemetry::{parse_json, JsonValue, JsonWriter};
+use std::collections::BTreeMap;
+use std::path::Path;
 
 /// How a metric's current value is judged against its baseline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,7 +65,7 @@ impl Direction {
 /// One gated metric: where to find it and how much it may move.
 #[derive(Clone, Debug)]
 pub struct MetricSpec {
-    /// Dotted path, first segment `simperf` or `serve`.
+    /// Dotted path; the first segment names the source report.
     pub path: String,
     /// Allowed drift, percent of the baseline value.
     pub tolerance_pct: f64,
@@ -77,13 +81,18 @@ impl MetricSpec {
             direction,
         }
     }
+
+    /// The source report: the path's first segment.
+    fn source(&self) -> &str {
+        self.path.split('.').next().unwrap_or_default()
+    }
 }
 
 /// The default gate: deterministic sim metrics exact, wall-clock
 /// metrics with wide bands.
 pub fn default_specs() -> Vec<MetricSpec> {
     use Direction::*;
-    vec![
+    let mut specs = vec![
         // Simulated cycle counts are bit-deterministic: any drift is a
         // real change to the timing model.
         MetricSpec::new(
@@ -170,7 +179,57 @@ pub fn default_specs() -> Vec<MetricSpec> {
         MetricSpec::new("serve.result_cache.hit_rate", 0.0, Exact),
         // Rolling-window SLO attainment from the loadgen run.
         MetricSpec::new("serve.slo.attainment", 5.0, HigherBetter),
-    ]
+    ];
+    // The paper's headline numbers are simulated, so exact: a change
+    // that shifts a reproduced claim fails the gate.
+    let paper = [
+        (
+            "fig09_speedup_power_energy",
+            "gmean",
+            "speedup power energy",
+        ),
+        (
+            "fig13_warp_buffer_sweep",
+            "gmean",
+            "8w/o 16w/o 32w/o 4w/ 8w/ 16w/ 32w/",
+        ),
+        ("fig14_slowest_warp", "gmean", "4w/coop 32w/o"),
+        ("fig15_edp", "gmean", "8w/o 16w/o 32w/o 4w/"),
+        ("fig19_subwarp_sweep", "gmean", "sw4 sw8 sw16 sw32"),
+        ("table3_area", "32", "cells area(um2)"),
+        ("table3_area", "4", "cells area(um2)"),
+    ];
+    for (figure, label, columns) in paper {
+        let rows = if label == "gmean" { "summary" } else { "rows" };
+        for column in columns.split(' ') {
+            let path = format!("paper.tables[figure={figure}].{rows}[label={label}].{column}");
+            specs.push(MetricSpec::new(&path, 0.0, Exact));
+        }
+    }
+    specs
+}
+
+/// Parsed source reports, keyed by source name.
+pub type Reports = BTreeMap<String, JsonValue>;
+
+/// Loads `BENCH_x.json` from `root` for every source `x` the specs read.
+pub fn load_reports<'a>(
+    root: &Path,
+    specs: impl IntoIterator<Item = &'a MetricSpec>,
+) -> Result<Reports, String> {
+    let mut reports = Reports::new();
+    for spec in specs {
+        if reports.contains_key(spec.source()) {
+            continue;
+        }
+        let path = root.join(format!("BENCH_{}.json", spec.source()));
+        let text = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let doc =
+            parse_json(&text).map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
+        reports.insert(spec.source().to_string(), doc);
+    }
+    Ok(reports)
 }
 
 /// Splits a dotted path into segments, keeping `[...]` selectors
@@ -346,11 +405,11 @@ impl Baseline {
     /// Captures a baseline: every default-spec metric extracted from
     /// the given reports. Metrics missing from the reports are skipped
     /// (e.g. a serve report predating a newer field).
-    pub fn capture(simperf: &JsonValue, serve: &JsonValue) -> Baseline {
+    pub fn capture(reports: &Reports) -> Baseline {
         let metrics = default_specs()
             .into_iter()
             .filter_map(|spec| {
-                let value = extract_spec(&spec, simperf, serve).ok()?;
+                let value = extract_spec(&spec, reports).ok()?;
                 Some((spec, value))
             })
             .collect();
@@ -415,31 +474,29 @@ impl Baseline {
     }
 
     /// Compares the current reports against this baseline.
-    pub fn compare(&self, simperf: &JsonValue, serve: &JsonValue) -> DiffReport {
+    pub fn compare(&self, reports: &Reports) -> DiffReport {
         let rows = self
             .metrics
             .iter()
-            .map(
-                |(spec, baseline)| match extract_spec(spec, simperf, serve) {
-                    Ok(current) => DiffRow {
-                        path: spec.path.clone(),
-                        baseline: *baseline,
-                        current: Some(current),
-                        delta_pct: (baseline.abs() > f64::EPSILON)
-                            .then(|| (current - baseline) / baseline * 100.0),
-                        verdict: judge(*baseline, current, spec.tolerance_pct, spec.direction),
-                        detail: String::new(),
-                    },
-                    Err(detail) => DiffRow {
-                        path: spec.path.clone(),
-                        baseline: *baseline,
-                        current: None,
-                        delta_pct: None,
-                        verdict: Verdict::Missing,
-                        detail,
-                    },
+            .map(|(spec, baseline)| match extract_spec(spec, reports) {
+                Ok(current) => DiffRow {
+                    path: spec.path.clone(),
+                    baseline: *baseline,
+                    current: Some(current),
+                    delta_pct: (baseline.abs() > f64::EPSILON)
+                        .then(|| (current - baseline) / baseline * 100.0),
+                    verdict: judge(*baseline, current, spec.tolerance_pct, spec.direction),
+                    detail: String::new(),
                 },
-            )
+                Err(detail) => DiffRow {
+                    path: spec.path.clone(),
+                    baseline: *baseline,
+                    current: None,
+                    delta_pct: None,
+                    verdict: Verdict::Missing,
+                    detail,
+                },
+            })
             .collect();
         DiffReport { rows }
     }
@@ -447,16 +504,15 @@ impl Baseline {
 
 /// Routes a spec to its source report by the leading path segment and
 /// extracts the value.
-fn extract_spec(spec: &MetricSpec, simperf: &JsonValue, serve: &JsonValue) -> Result<f64, String> {
+fn extract_spec(spec: &MetricSpec, reports: &Reports) -> Result<f64, String> {
     let (source, rest) = spec
         .path
         .split_once('.')
         .ok_or_else(|| format!("path '{}' has no source prefix", spec.path))?;
-    match source {
-        "simperf" => extract(simperf, rest),
-        "serve" => extract(serve, rest),
-        other => Err(format!("unknown source '{other}' in '{}'", spec.path)),
-    }
+    let doc = reports
+        .get(source)
+        .ok_or_else(|| format!("no report BENCH_{source}.json"))?;
+    extract(doc, rest)
 }
 
 #[cfg(test)]
@@ -519,9 +575,12 @@ mod tests {
         assert_eq!(judge(100.0, 1000.0, 50.0, HigherBetter), Verdict::Ok);
     }
 
+    fn reports(serve: JsonValue) -> Reports {
+        Reports::from([("simperf".into(), sample()), ("serve".into(), serve)])
+    }
+
     #[test]
     fn baselines_round_trip_through_json() {
-        let simperf = sample();
         let serve = parse_json(
             r#"{
                 "cold": {"requests_per_sec": 1000.0},
@@ -532,21 +591,22 @@ mod tests {
             }"#,
         )
         .unwrap();
-        let captured = Baseline::capture(&simperf, &serve);
-        // The sample simperf doc lacks spnza/reorder rows; those specs
-        // are skipped at capture, the rest survive.
+        let reports = reports(serve);
+        let captured = Baseline::capture(&reports);
+        // The sample simperf doc lacks spnza/reorder rows and there is
+        // no paper report; those specs are skipped at capture, the rest
+        // survive.
         assert!(captured.metrics.len() >= 8, "{:?}", captured.metrics);
         let parsed = Baseline::from_json(&captured.to_json()).unwrap();
         assert_eq!(parsed.metrics.len(), captured.metrics.len());
         // Comparing a report against a baseline captured from it is
         // all-ok by construction.
-        let report = parsed.compare(&simperf, &serve);
+        let report = parsed.compare(&reports);
         assert!(report.passed(), "{}", report.render());
     }
 
     #[test]
     fn regressions_and_missing_metrics_fail_the_report() {
-        let simperf = sample();
         let serve = parse_json(r#"{"warm_cold_speedup": 30.0}"#).unwrap();
         let baseline = Baseline {
             metrics: vec![
@@ -566,15 +626,36 @@ mod tests {
                     MetricSpec::new("serve.not.there", 0.0, Direction::Exact),
                     1.0,
                 ),
+                (
+                    MetricSpec::new("paper.tables", 0.0, Direction::Exact),
+                    1.0, // no paper report loaded
+                ),
             ],
         };
-        let report = baseline.compare(&simperf, &serve);
+        let report = baseline.compare(&reports(serve));
         assert!(!report.passed());
         assert_eq!(report.rows[0].verdict, Verdict::Regressed);
         assert_eq!(report.rows[1].verdict, Verdict::Ok);
         assert_eq!(report.rows[2].verdict, Verdict::Missing);
+        assert_eq!(report.rows[3].verdict, Verdict::Missing);
+        assert!(report.rows[3].detail.contains("BENCH_paper.json"));
         let rendered = report.render();
         assert!(rendered.contains("REGRESSED"));
         assert!(rendered.contains("MISSING"));
+    }
+
+    #[test]
+    fn sources_load_from_their_bench_files() {
+        let root = std::env::temp_dir().join(format!("benchdiff-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        std::fs::write(root.join("BENCH_demo.json"), r#"{"a": 2}"#).unwrap();
+        let demo = MetricSpec::new("demo.a", 0.0, Direction::Exact);
+        let reports = load_reports(&root, [&demo, &demo]).unwrap();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(extract_spec(&demo, &reports), Ok(2.0));
+        let absent = MetricSpec::new("nope.a", 0.0, Direction::Exact);
+        let err = load_reports(&root, [&absent]).unwrap_err();
+        assert!(err.contains("BENCH_nope.json"), "{err}");
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -1,14 +1,23 @@
 //! Benchmark harness for the CoopRT reproduction.
 //!
-//! Every table and figure of the paper's evaluation has a `[[bench]]`
-//! target in `benches/` (run via `cargo bench`). Each target simulates
-//! the relevant scene × configuration matrix and prints the same rows
-//! or series the paper reports, normalized to the baseline exactly as
-//! the paper normalizes.
+//! Every table and figure of the paper's evaluation is a figure of the
+//! [`paper`] registry, run by one bench target:
+//!
+//! ```sh
+//! cargo bench -p cooprt-bench --bench paper            # all, writes BENCH_paper.json
+//! cargo bench -p cooprt-bench --bench paper -- fig09   # figures by name prefix
+//! ```
+//!
+//! Each figure prints the same rows or series the paper reports,
+//! normalized to the baseline exactly as the paper normalizes. The
+//! other targets are `simperf` (host throughput of the simulator,
+//! `BENCH_simperf.json`), `benchdiff` (the [`diff`] gate over the
+//! `BENCH_*.json` reports) and `micro_kernels`.
 //!
 //! Knobs (environment variables):
 //!
-//! - `COOPRT_RES` — frame resolution (default 64; the paper uses 256).
+//! - `COOPRT_RES` — frame resolution (default 64; the paper uses 256),
+//!   and of the warp-buffer sweeps too (default 128, see [`sweep_res`]).
 //! - `COOPRT_DETAIL` — scene detail level (default 32).
 //! - `COOPRT_SCENES` — comma-separated subset of scene names to run
 //!   (default: all 15).
@@ -21,6 +30,7 @@ use cooprt_core::{FrameResult, GpuConfig, ShaderKind, Simulation, TraversalPolic
 use cooprt_scenes::{Scene, SceneId, ALL_SCENES};
 
 pub mod diff;
+pub mod paper;
 pub mod perf;
 
 /// Deterministic outer-loop parallelism (re-exported from
@@ -87,30 +97,6 @@ pub fn scene_list() -> Vec<SceneId> {
     }
 }
 
-/// Builds a scene at the harness detail level.
-pub fn build_scene(id: SceneId) -> Scene {
-    id.build(default_detail())
-}
-
-/// Builds a scene suite concurrently (BVH construction dominates and is
-/// independent per scene). Results are in `ids` order.
-pub fn build_scenes(ids: &[SceneId]) -> Vec<Scene> {
-    parallel::par_map(ids, parallel::threads(), |_, &id| build_scene(id))
-}
-
-/// Runs one simulation at the harness resolution.
-pub fn run(
-    scene: &Scene,
-    cfg: &GpuConfig,
-    policy: TraversalPolicy,
-    kind: ShaderKind,
-) -> FrameResult {
-    let res = default_res();
-    Simulation::new(scene, cfg, policy)
-        .run_frame(kind, res, res)
-        .unwrap()
-}
-
 /// Geometric mean of a slice of positive ratios.
 ///
 /// Returns `0.0` for an empty slice.
@@ -128,26 +114,6 @@ pub fn gmean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Prints a table header: a left-aligned label column plus value
-/// columns.
-pub fn print_header(label: &str, columns: &[&str]) {
-    print!("{label:<8}");
-    for c in columns {
-        print!(" {c:>9}");
-    }
-    println!();
-    println!("{}", "-".repeat(8 + 10 * columns.len()));
-}
-
-/// Prints one row of numeric values under a [`print_header`].
-pub fn print_row(label: &str, values: &[f64]) {
-    print!("{label:<8}");
-    for v in values {
-        print!(" {v:>9.3}");
-    }
-    println!();
-}
-
 /// Prints the standard experiment banner with the harness parameters.
 pub fn banner(title: &str) {
     println!();
@@ -158,94 +124,6 @@ pub fn banner(title: &str) {
         detail = default_detail(),
         n = scene_list().len(),
     );
-}
-
-/// Runs the full scene x config x policy matrix concurrently: one job
-/// per cell, scheduled dynamically over [`parallel::threads`] workers.
-/// Results are in `jobs` order and bitwise identical to running each
-/// cell sequentially.
-pub fn run_matrix(
-    jobs: &[(SceneId, GpuConfig, TraversalPolicy)],
-    kind: ShaderKind,
-) -> Vec<FrameResult> {
-    parallel::par_map(jobs, parallel::threads(), |_, (id, cfg, policy)| {
-        let scene = build_scene(*id);
-        run(&scene, cfg, *policy, kind)
-    })
-}
-
-/// Runs the baseline-vs-CoopRT [`Comparison`] for every scene of
-/// [`scene_list`] concurrently (scene-level parallelism; each pair runs
-/// sequentially inside its worker to avoid oversubscription). Results
-/// are in scene-list order.
-pub fn run_comparisons(cfg: &GpuConfig, kind: ShaderKind) -> Vec<Comparison> {
-    let ids = scene_list();
-    parallel::par_map(&ids, parallel::threads(), |_, &id| {
-        Comparison::run_with_threads(id, cfg, kind, 1)
-    })
-}
-
-/// Per-scene baseline-vs-CoopRT comparison used by several figures.
-#[derive(Clone, Debug)]
-pub struct Comparison {
-    /// Scene identifier.
-    pub id: SceneId,
-    /// Baseline run.
-    pub base: FrameResult,
-    /// CoopRT run.
-    pub coop: FrameResult,
-}
-
-impl Comparison {
-    /// Simulates one scene under both policies with the same config,
-    /// running the baseline/CoopRT pair concurrently (the two
-    /// simulations are independent; each stays single-threaded).
-    pub fn run(id: SceneId, cfg: &GpuConfig, kind: ShaderKind) -> Self {
-        Self::run_with_threads(id, cfg, kind, parallel::threads())
-    }
-
-    /// [`Comparison::run`] with an explicit worker count; `threads <= 1`
-    /// runs the pair sequentially. Either way the results are bitwise
-    /// identical.
-    pub fn run_with_threads(
-        id: SceneId,
-        cfg: &GpuConfig,
-        kind: ShaderKind,
-        threads: usize,
-    ) -> Self {
-        let scene = build_scene(id);
-        let (base, coop) = parallel::join(
-            threads,
-            || run(&scene, cfg, TraversalPolicy::Baseline, kind),
-            || run(&scene, cfg, TraversalPolicy::CoopRt, kind),
-        );
-        assert_eq!(
-            base.image, coop.image,
-            "{id}: policies must agree functionally"
-        );
-        Comparison { id, base, coop }
-    }
-
-    /// CoopRT speedup over baseline (higher is better).
-    pub fn speedup(&self) -> f64 {
-        self.base.cycles as f64 / self.coop.cycles.max(1) as f64
-    }
-
-    /// CoopRT power normalized to baseline.
-    pub fn power_ratio(&self) -> f64 {
-        self.coop.energy.avg_power_w() / self.base.energy.avg_power_w().max(1e-12)
-    }
-
-    /// CoopRT energy normalized to baseline.
-    pub fn energy_ratio(&self) -> f64 {
-        self.coop.energy.total_j() / self.base.energy.total_j().max(1e-300)
-    }
-
-    /// Baseline EDP over CoopRT EDP (improvement factor, higher is
-    /// better).
-    pub fn edp_improvement(&self) -> f64 {
-        self.base.energy.edp() / self.coop.energy.edp().max(1e-300)
-    }
 }
 
 #[cfg(test)]
