@@ -2,22 +2,23 @@
 //! perf baseline.
 //!
 //! ```sh
-//! # Compare (exit 1 on regression/missing metric):
+//! # Compare: exit 1 when a pin drifted or a metric is missing, exit 3
+//! # when only wall-clock bands regressed:
 //! cargo bench -p cooprt-bench --bench benchdiff -- \
 //!     --baseline ci/bench_baseline.json
 //!
-//! # Re-pin the baseline from the current reports:
+//! # Re-pin the baseline from the current reports (exit 2, naming
+//! # them, when some spec does not resolve):
 //! cargo bench -p cooprt-bench --bench benchdiff -- --write-baseline
 //! ```
 //!
 //! A metric path's first segment `x` reads the report `BENCH_x.json`
 //! at the repository root. The metric list, tolerances, and comparison
 //! semantics live in [`cooprt_bench::diff`]; this target is just the
-//! file I/O and exit code. `ci.sh` runs the comparison as a *soft*
-//! gate (warn, don't fail) because half the metrics are wall-clock and
-//! the baseline may have been pinned on different hardware.
+//! file I/O and exit code. `ci.sh` fails on exit 1 and only warns on
+//! exit 3: wall-clock values depend on the host that measured them.
 
-use cooprt_bench::diff::{default_specs, load_reports, Baseline};
+use cooprt_bench::diff::{default_specs, load_reports, Baseline, Verdict};
 use std::path::Path;
 
 /// Repository root (the bench binary's cwd is the package dir, so
@@ -78,7 +79,13 @@ fn main() {
     if args.write_baseline {
         let specs = default_specs();
         let reports = load_reports(root, &specs).unwrap_or_else(|e| fail(e));
-        let baseline = Baseline::capture(&reports);
+        let baseline = Baseline::capture(specs, &reports).unwrap_or_else(|unresolved| {
+            let n = unresolved.len();
+            fail(format!(
+                "{n} specs do not resolve:\n  {}",
+                unresolved.join("\n  ")
+            ))
+        });
         std::fs::write(&args.baseline, baseline.to_json())
             .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", args.baseline)));
         println!(
@@ -96,10 +103,15 @@ fn main() {
         .unwrap_or_else(|e| fail(e));
     let report = baseline.compare(&reports);
     print!("{}", report.render());
-    if report.passed() {
-        println!("benchdiff: all {} metrics within bounds", report.rows.len());
-    } else {
-        println!("benchdiff: regressions detected (see rows above)");
+    let [drifted, missing, regressed] =
+        [Verdict::Drifted, Verdict::Missing, Verdict::Regressed].map(|v| report.count(v));
+    if drifted + missing > 0 {
+        println!("benchdiff: {drifted} pins drifted, {missing} metrics missing");
         std::process::exit(1);
     }
+    if regressed > 0 {
+        println!("benchdiff: {regressed} wall-clock bands regressed");
+        std::process::exit(3);
+    }
+    println!("benchdiff: all {} metrics within bounds", report.rows.len());
 }

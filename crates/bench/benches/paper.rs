@@ -11,7 +11,8 @@
 //! The figure registry, the shared cell matrix and the renderers live
 //! in [`cooprt_bench::paper`]; this target is the argument handling and
 //! the file write. `COOPRT_RES`, `COOPRT_DETAIL`, `COOPRT_SCENES` and
-//! `COOPRT_THREADS` set the knobs (see the crate docs).
+//! `COOPRT_THREADS` set the knobs (see the crate docs). An unknown
+//! figure prefix or scene name exits 2 with the valid names.
 
 use cooprt_bench::paper::{run, Knobs, FIGURES};
 
@@ -32,7 +33,11 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let report = run(&Knobs::from_env(), &filter);
+    let knobs = Knobs::from_env().unwrap_or_else(|e| {
+        eprintln!("paper: COOPRT_SCENES: {e}");
+        std::process::exit(2);
+    });
+    let report = run(&knobs, &filter);
     print!("{}", report.text);
     if filter.is_empty() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_paper.json");

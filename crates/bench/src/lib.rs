@@ -9,10 +9,12 @@
 //! ```
 //!
 //! Each figure prints the same rows or series the paper reports,
-//! normalized to the baseline exactly as the paper normalizes. The
-//! other targets are `simperf` (host throughput of the simulator,
-//! `BENCH_simperf.json`), `benchdiff` (the [`diff`] gate over the
-//! `BENCH_*.json` reports) and `micro_kernels`.
+//! normalized to the baseline exactly as the paper normalizes; the
+//! extension studies (reordering, ray-path prediction, spatial queries)
+//! are figures of the same registry. The other targets are `benchdiff`
+//! (the [`diff`] gate over the `BENCH_*.json` reports) and
+//! `micro_kernels`. Host time is perfbench's: `ci/bench_perf.sh` records
+//! its results in `BENCH_perf.json`.
 //!
 //! Knobs (environment variables):
 //!
@@ -20,14 +22,13 @@
 //!   and of the warp-buffer sweeps too (default 128, see [`sweep_res`]).
 //! - `COOPRT_DETAIL` — scene detail level (default 32).
 //! - `COOPRT_SCENES` — comma-separated subset of scene names to run
-//!   (default: all 15).
+//!   (default: all 15); an unknown name is an error (see [`scene_list`]).
 //! - `COOPRT_THREADS` — outer-parallelism width for the scene x config
 //!   x policy matrix (default: available parallelism). Simulations are
 //!   individually single-threaded and deterministic; the matrix runner
 //!   only changes wall-clock time, never an output bit.
 
-use cooprt_core::{FrameResult, GpuConfig, ShaderKind, Simulation, TraversalPolicy};
-use cooprt_scenes::{Scene, SceneId, ALL_SCENES};
+use cooprt_scenes::{SceneId, ALL_SCENES};
 
 pub mod diff;
 pub mod paper;
@@ -69,32 +70,41 @@ pub fn sweep_res() -> usize {
     env_usize("COOPRT_RES", 128)
 }
 
-/// Runs one simulation at an explicit resolution.
-pub fn run_at(
-    scene: &Scene,
-    cfg: &GpuConfig,
-    policy: TraversalPolicy,
-    kind: ShaderKind,
-    res: usize,
-) -> FrameResult {
-    Simulation::new(scene, cfg, policy)
-        .run_frame(kind, res, res)
-        .unwrap()
+/// The scene list to run, honouring `COOPRT_SCENES` (all 15 render
+/// scenes when unset).
+///
+/// # Errors
+///
+/// Returns the message of [`parse_scenes`] for an invalid list.
+pub fn scene_list() -> Result<Vec<SceneId>, String> {
+    match std::env::var("COOPRT_SCENES") {
+        Err(_) => Ok(ALL_SCENES.to_vec()),
+        Ok(spec) => parse_scenes(&spec),
+    }
 }
 
-/// The scene list to run, honouring `COOPRT_SCENES`.
-pub fn scene_list() -> Vec<SceneId> {
-    match std::env::var("COOPRT_SCENES") {
-        Err(_) => ALL_SCENES.to_vec(),
-        Ok(spec) => {
-            let want: Vec<&str> = spec.split(',').map(|s| s.trim()).collect();
-            ALL_SCENES
-                .iter()
-                .copied()
-                .filter(|s| want.contains(&s.name()))
-                .collect()
-        }
+/// Parses a comma-separated list of render scene names into suite
+/// order; empty entries are skipped.
+///
+/// # Errors
+///
+/// Names the first entry that is no render scene, or an empty list,
+/// and lists the valid names.
+pub fn parse_scenes(spec: &str) -> Result<Vec<SceneId>, String> {
+    let names = ALL_SCENES.map(SceneId::name);
+    let want: Vec<&str> = spec.split(',').map(str::trim).collect();
+    let valid = || format!("scenes: {}", names.join(" "));
+    if let Some(unknown) = want.iter().find(|w| !w.is_empty() && !names.contains(w)) {
+        return Err(format!("no scene named '{unknown}'; {}", valid()));
     }
+    let scenes: Vec<SceneId> = ALL_SCENES
+        .into_iter()
+        .filter(|s| want.contains(&s.name()))
+        .collect();
+    if scenes.is_empty() {
+        return Err(format!("'{spec}' names no scene; {}", valid()));
+    }
+    Ok(scenes)
 }
 
 /// Geometric mean of a slice of positive ratios.
@@ -112,18 +122,6 @@ pub fn gmean(values: &[f64]) -> f64 {
     }
     let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
     (log_sum / values.len() as f64).exp()
-}
-
-/// Prints the standard experiment banner with the harness parameters.
-pub fn banner(title: &str) {
-    println!();
-    println!("=== {title} ===");
-    println!(
-        "(resolution {res}x{res}, detail {detail}, {n} scenes; set COOPRT_RES / COOPRT_DETAIL / COOPRT_SCENES to adjust)",
-        res = default_res(),
-        detail = default_detail(),
-        n = scene_list().len(),
-    );
 }
 
 #[cfg(test)]
@@ -145,7 +143,26 @@ mod tests {
     #[test]
     fn scene_list_defaults_to_all() {
         if std::env::var("COOPRT_SCENES").is_err() {
-            assert_eq!(scene_list().len(), 15);
+            assert_eq!(scene_list(), Ok(ALL_SCENES.to_vec()));
         }
+    }
+
+    #[test]
+    fn scene_lists_parse_in_suite_order_and_reject_unknown_names() {
+        use SceneId::{Fox, Wknd};
+        assert_eq!(parse_scenes("fox, wknd"), Ok(vec![Wknd, Fox]));
+        assert_eq!(parse_scenes("wknd,,fox,wknd,"), Ok(vec![Wknd, Fox]));
+        for bad in ["wknd,foxx", "foxx", "quni"] {
+            let err = parse_scenes(bad).unwrap_err();
+            assert!(
+                err.contains("no scene named") && err.contains("robot"),
+                "{err}"
+            );
+        }
+        let err = parse_scenes(" , ").unwrap_err();
+        assert!(
+            err.contains("names no scene") && err.contains("wknd"),
+            "{err}"
+        );
     }
 }

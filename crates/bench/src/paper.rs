@@ -2,29 +2,32 @@
 //! matrix.
 //!
 //! Every table and figure of CoopRT's evaluation (Figs. 1–19, Tables
-//! 2–3), the design ablations and the §4.2/§8 extension studies is a
+//! 2–3), the design ablations, the §4.2/§8 extension studies and the
+//! reordering, ray-path prediction and spatial-query studies is a
 //! [`Figure`] in [`FIGURES`]. A figure asks the runner's plan for the
 //! simulations it needs — one [`Cell`] each: scene, BVH builder,
-//! [`GpuConfig`], policy, shader, resolution and optional timeline warp
-//! — and returns a closure that turns the finished matrix of frames
-//! into [`Table`]s: per-scene rows, summary rows and notes.
+//! [`GpuConfig`], policy, shader, frame (scene detail, shape, sample
+//! salt) and optional timeline warp — and returns a closure that turns
+//! the finished matrix of frames into [`Table`]s: per-scene rows,
+//! summary rows and notes.
 //!
 //! [`run`] plans the selected figures, builds each scene once,
 //! simulates each distinct cell once over [`Knobs::threads`] workers,
-//! asserts that every Baseline/CoopRT twin in the matrix renders the
-//! same image, and renders the tables as text and as the
-//! `BENCH_paper.json` document. The worker count changes wall-clock
-//! time only, never an output byte.
+//! asserts that every cell renders the image of its Baseline,
+//! reorder-off, predict-off twin, and renders the tables as text and
+//! as the `BENCH_paper.json` document. The worker count changes
+//! wall-clock time only, never an output byte.
 
 use crate::{default_detail, default_res, gmean, parallel, scene_list, sweep_res};
 use cooprt_core::area::{
     added_field_bits, cooprt_area, overhead_fraction, warp_buffer_bits, FLIP_FLOP_AREA_UM2,
 };
 use cooprt_core::{
-    ActivitySample, FrameResult, GpuConfig, ShaderKind, Simulation, StealPosition, TimelineSample,
-    TraversalOrder, TraversalPolicy, WarpTiling, WARP_SIZE,
+    ActivitySample, FrameResult, GpuConfig, PredictPolicy, ReorderPolicy, ShaderKind, Simulation,
+    StealPosition, TimelineSample, TraversalOrder, TraversalPolicy, WarpTiling, WARP_SIZE,
 };
-use cooprt_scenes::{Scene, SceneId, PAPER_FIG17_SCENES};
+use cooprt_query::oracle_answers;
+use cooprt_scenes::{Scene, SceneId, PAPER_FIG17_SCENES, QUERY_SCENES};
 use cooprt_telemetry::JsonWriter;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,13 +54,27 @@ pub struct Knobs {
 
 impl Knobs {
     /// The knobs the environment sets.
-    pub fn from_env() -> Knobs {
-        Knobs {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`scene_list`]'s message for an invalid `COOPRT_SCENES`.
+    pub fn from_env() -> Result<Knobs, String> {
+        Ok(Knobs {
             res: default_res(),
             sweep_res: sweep_res(),
             detail: default_detail(),
-            scenes: scene_list(),
+            scenes: scene_list()?,
             threads: parallel::threads(),
+        })
+    }
+
+    /// A `res` x `res` frame of scenes at the knobs' detail.
+    fn frame(&self, res: usize) -> Frame {
+        Frame {
+            detail: self.detail,
+            width: res,
+            height: res,
+            salt: 0,
         }
     }
 }
@@ -69,6 +86,19 @@ enum Builder {
     Sah,
     /// Object-median splits (the BVH-quality ablation).
     Median,
+}
+
+/// What a cell simulates of its scene.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Frame {
+    /// Detail level the scene is built at.
+    detail: u32,
+    /// Frame width (threads per row; the query count of a query batch).
+    width: usize,
+    /// Frame height.
+    height: usize,
+    /// Sample salt (query points are drawn from it).
+    salt: u64,
 }
 
 /// One simulation of the matrix. Requests for equal cells share a run.
@@ -84,8 +114,8 @@ pub struct Cell {
     policy: TraversalPolicy,
     /// Shader.
     kind: ShaderKind,
-    /// Frame width and height.
-    res: usize,
+    /// Scene detail, frame shape and salt.
+    frame: Frame,
     /// Warp whose lane timeline is recorded (Fig. 11).
     timeline_warp: Option<usize>,
 }
@@ -94,20 +124,23 @@ pub struct Cell {
 type Variant = (GpuConfig, TraversalPolicy, ShaderKind);
 
 impl Cell {
-    /// `scene` under `variant` at resolution `res`, on the SAH BVH and
-    /// without a timeline warp.
-    fn new(scene: SceneId, (cfg, policy, kind): Variant, res: usize) -> Cell {
+    /// `scene` under `variant` for `frame`, on the SAH BVH and without
+    /// a timeline warp.
+    fn new(scene: SceneId, (cfg, policy, kind): Variant, frame: Frame) -> Cell {
         Cell {
             scene,
             builder: Builder::Sah,
             cfg,
             policy,
             kind,
-            res,
+            frame,
             timeline_warp: None,
         }
     }
 }
+
+/// A built scene: id, BVH builder and detail.
+type SceneKey = (SceneId, Builder, u32);
 
 /// Index of `item` in `items`, appending it if absent.
 fn intern<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
@@ -121,35 +154,35 @@ fn intern<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
 /// and cells, and get back indices into the finished [`Matrix`].
 #[derive(Default)]
 struct Plan {
-    scenes: Vec<(SceneId, Builder)>,
+    scenes: Vec<SceneKey>,
     cells: Vec<Cell>,
     requested: usize,
 }
 
 impl Plan {
     /// Requests a built scene, readable with [`Matrix::scene`].
-    fn scene(&mut self, id: SceneId, builder: Builder) {
+    fn scene(&mut self, id: SceneId, builder: Builder, detail: u32) {
         if builder == Builder::Median {
             // A median tree is rebuilt from the SAH scene's triangles.
-            self.scene(id, Builder::Sah);
+            self.scene(id, Builder::Sah, detail);
         }
-        intern(&mut self.scenes, (id, builder));
+        intern(&mut self.scenes, (id, builder, detail));
     }
 
     /// Requests a cell; returns its index into the [`Matrix`].
     fn cell(&mut self, cell: Cell) -> usize {
         self.requested += 1;
-        self.scene(cell.scene, cell.builder);
+        self.scene(cell.scene, cell.builder, cell.frame.detail);
         intern(&mut self.cells, cell)
     }
 
-    /// Requests every variant of every scene at resolution `res`.
-    fn per_scene(&mut self, scenes: &[SceneId], res: usize, variants: &[Variant]) -> PerScene {
+    /// Requests every variant of every scene for `frame`.
+    fn per_scene(&mut self, scenes: &[SceneId], frame: Frame, variants: &[Variant]) -> PerScene {
         let mut cells = Vec::new();
         for &id in scenes {
             let ids = variants
                 .iter()
-                .map(|v| self.cell(Cell::new(id, v.clone(), res)));
+                .map(|v| self.cell(Cell::new(id, v.clone(), frame)));
             cells.push((id, ids.collect()));
         }
         PerScene(cells)
@@ -195,14 +228,15 @@ impl PerScene {
 
 /// The finished matrix: built scenes and one frame per distinct cell.
 struct Matrix {
-    scenes: Vec<((SceneId, Builder), Scene)>,
+    scenes: Vec<(SceneKey, Scene)>,
     frames: Vec<FrameResult>,
 }
 
 impl Matrix {
     /// A scene requested with [`Plan::scene`] (or through a cell).
-    fn scene(&self, id: SceneId, builder: Builder) -> &Scene {
-        let found = self.scenes.iter().find(|(key, _)| *key == (id, builder));
+    fn scene(&self, id: SceneId, builder: Builder, detail: u32) -> &Scene {
+        let key = (id, builder, detail);
+        let found = self.scenes.iter().find(|(k, _)| *k == key);
         &found.expect("scene was requested").1
     }
 }
@@ -433,8 +467,10 @@ fn warp_buffers(baseline: &[usize], coop: &[usize]) -> Vec<Variant> {
 }
 
 fn table2(k: &Knobs, p: &mut Plan) -> Finish {
-    let scenes = k.scenes.clone();
-    scenes.iter().for_each(|&id| p.scene(id, Builder::Sah));
+    let (scenes, detail) = (k.scenes.clone(), k.detail);
+    scenes
+        .iter()
+        .for_each(|&id| p.scene(id, Builder::Sah, detail));
     Box::new(move |m| {
         let columns = vec![
             col("triangles", 10, 0),
@@ -446,7 +482,7 @@ fn table2(k: &Knobs, p: &mut Plan) -> Finish {
         ];
         let mut t = Table::with("scene", columns);
         for id in scenes {
-            let s = m.scene(id, Builder::Sah);
+            let s = m.scene(id, Builder::Sah, detail);
             let st = &s.stats;
             let n = [
                 s.triangle_count(),
@@ -465,7 +501,7 @@ fn table2(k: &Knobs, p: &mut Plan) -> Finish {
 }
 
 fn fig01(k: &Knobs, p: &mut Plan) -> Finish {
-    let cells = p.per_scene(&k.scenes, k.res, &[(rtx(), Baseline, PT)]);
+    let cells = p.per_scene(&k.scenes, k.frame(k.res), &[(rtx(), Baseline, PT)]);
     let row: RowFn = |f| f[0].stalls.fractions().to_vec();
     cells.finish(&["RT", "MEM", "ALU", "SFU"], row, 0, |t| {
         let rt = mean(&t.column(0));
@@ -485,7 +521,7 @@ fn busy_fraction(s: &ActivitySample) -> f64 {
 
 fn fig02(k: &Knobs, p: &mut Plan) -> Finish {
     let scenes = [SceneId::Spnza, SceneId::Bath];
-    let cells = p.per_scene(&scenes, k.res, &[(rtx(), Baseline, PT)]);
+    let cells = p.per_scene(&scenes, k.frame(k.res), &[(rtx(), Baseline, PT)]);
     Box::new(move |m| {
         let columns = vec![
             col("samples", 9, 0),
@@ -523,7 +559,7 @@ fn fig02(k: &Knobs, p: &mut Plan) -> Finish {
 }
 
 fn fig04(k: &Knobs, p: &mut Plan) -> Finish {
-    let cells = p.per_scene(&k.scenes, k.res, &[(rtx(), Baseline, PT)]);
+    let cells = p.per_scene(&k.scenes, k.frame(k.res), &[(rtx(), Baseline, PT)]);
     let row: RowFn = |f| f[0].activity.status_distribution().to_vec();
     cells.finish(&["busy", "waiting", "inactive"], row, 0, |t| {
         let wasted: Vec<f64> = t.rows.iter().map(|(_, d)| d[1] + d[2]).collect();
@@ -533,7 +569,7 @@ fn fig04(k: &Knobs, p: &mut Plan) -> Finish {
 }
 
 fn fig09(k: &Knobs, p: &mut Plan) -> Finish {
-    let cells = p.per_scene(&k.scenes, k.res, &twin(&rtx(), PT));
+    let cells = p.per_scene(&k.scenes, k.frame(k.res), &twin(&rtx(), PT));
     let row: RowFn = |f| vec![speedup(f[0], f[1]), power(f[0], f[1]), energy(f[0], f[1])];
     cells.finish(&["speedup", "power", "energy"], row, 3, |t| {
         let (top, g) = (max(&t.column(0)), gmean(&t.column(0)));
@@ -545,7 +581,7 @@ fn fig09(k: &Knobs, p: &mut Plan) -> Finish {
 }
 
 fn fig10(k: &Knobs, p: &mut Plan) -> Finish {
-    let cells = p.per_scene(&k.scenes, k.res, &twin(&rtx(), PT));
+    let cells = p.per_scene(&k.scenes, k.frame(k.res), &twin(&rtx(), PT));
     let row: RowFn = |f| {
         let [b, c] = [f[0], f[1]].map(|r| r.activity.avg_utilization());
         vec![b, c, c - b, speedup(f[0], f[1])]
@@ -596,7 +632,7 @@ fn fig11(k: &Knobs, p: &mut Plan) -> Finish {
     // lanes comes from bounces).
     let timeline_warp = Some((k.res * k.res / WARP_SIZE) / 2);
     let [b, c] = [Baseline, CoopRt].map(|policy| {
-        let cell = Cell::new(SceneId::Bath, (rtx(), policy, PT), k.res);
+        let cell = Cell::new(SceneId::Bath, (rtx(), policy, PT), k.frame(k.res));
         p.cell(Cell {
             timeline_warp,
             ..cell
@@ -616,7 +652,7 @@ fn fig11(k: &Knobs, p: &mut Plan) -> Finish {
 }
 
 fn fig12(k: &Knobs, p: &mut Plan) -> Finish {
-    let cells = p.per_scene(&k.scenes, k.res, &twin(&rtx(), PT));
+    let cells = p.per_scene(&k.scenes, k.frame(k.res), &twin(&rtx(), PT));
     let row: RowFn = |f| {
         let l2 = |r: &FrameResult| r.mem.l2_bandwidth(r.cycles);
         let dram = |r: &FrameResult| r.mem.dram_bandwidth(r.cycles);
@@ -635,7 +671,7 @@ fn fig12(k: &Knobs, p: &mut Plan) -> Finish {
 
 fn fig13(k: &Knobs, p: &mut Plan) -> Finish {
     let variants = warp_buffers(&[8, 16, 32], &[4, 8, 16, 32]);
-    let cells = p.per_scene(&k.scenes, k.sweep_res, &variants);
+    let cells = p.per_scene(&k.scenes, k.frame(k.sweep_res), &variants);
     let columns = &["8w/o", "16w/o", "32w/o", "4w/", "8w/", "16w/", "32w/"];
     cells.finish(columns, speedups, 7, |t| {
         let g = &t.summary[0].1;
@@ -649,7 +685,7 @@ fn fig13(k: &Knobs, p: &mut Plan) -> Finish {
 
 fn fig14(k: &Knobs, p: &mut Plan) -> Finish {
     let variants = over_baseline([(rtx(), CoopRt), (rtx().with_warp_buffer(32), Baseline)]);
-    let cells = p.per_scene(&k.scenes, k.sweep_res, &variants);
+    let cells = p.per_scene(&k.scenes, k.frame(k.sweep_res), &variants);
     let row: RowFn = |f| {
         let denom = f[0].slowest_warp_cycles.max(1) as f64;
         f[1..]
@@ -663,7 +699,11 @@ fn fig14(k: &Knobs, p: &mut Plan) -> Finish {
 }
 
 fn fig15(k: &Knobs, p: &mut Plan) -> Finish {
-    let cells = p.per_scene(&k.scenes, k.sweep_res, &warp_buffers(&[8, 16, 32], &[4]));
+    let cells = p.per_scene(
+        &k.scenes,
+        k.frame(k.sweep_res),
+        &warp_buffers(&[8, 16, 32], &[4]),
+    );
     let row: RowFn = |f| {
         let edp = |r: &FrameResult| r.energy.edp();
         f[1..]
@@ -681,7 +721,7 @@ fn fig15(k: &Knobs, p: &mut Plan) -> Finish {
 }
 
 fn fig16(k: &Knobs, p: &mut Plan) -> Finish {
-    let cells = p.per_scene(&k.scenes, k.res, &twin(&rtx(), PT));
+    let cells = p.per_scene(&k.scenes, k.frame(k.res), &twin(&rtx(), PT));
     let row: RowFn = |f| {
         let (b, c) = (&f[0].mem, &f[1].mem);
         [&b.l1, &c.l1, &b.l2, &c.l2]
@@ -704,7 +744,7 @@ fn fig16(k: &Knobs, p: &mut Plan) -> Finish {
 
 fn fig17(k: &Knobs, p: &mut Plan) -> Finish {
     let variants = [twin(&rtx(), AO), twin(&rtx(), ShaderKind::Shadow)].concat();
-    let cells = p.per_scene(&PAPER_FIG17_SCENES, k.res, &variants);
+    let cells = p.per_scene(&PAPER_FIG17_SCENES, k.frame(k.res), &variants);
     let row: RowFn = |f| vec![speedup(f[0], f[1]), speedup(f[2], f[3])];
     cells.finish(&["AO", "SH"], row, 2, |_| {
         lines("paper gmeans: AO 1.42x, SH 1.28x — both well below path tracing")
@@ -717,7 +757,7 @@ fn fig18(k: &Knobs, p: &mut Plan) -> Finish {
     let scenes: Vec<SceneId> = scenes
         .filter(|s| !matches!(s, SceneId::Car | SceneId::Robot))
         .collect();
-    let cells = p.per_scene(&scenes, k.res, &twin(&GpuConfig::mobile(), PT));
+    let cells = p.per_scene(&scenes, k.frame(k.res), &twin(&GpuConfig::mobile(), PT));
     Box::new(move |m| {
         let columns = ["speedup", "power", "energy", "dram b", "dram c"];
         let mut t = cells.table(m, &columns, |f| {
@@ -742,7 +782,7 @@ fn fig18(k: &Knobs, p: &mut Plan) -> Finish {
 
 fn fig19(k: &Knobs, p: &mut Plan) -> Finish {
     let variants = over_baseline([4, 8, 16, 32].map(|sw| (rtx().with_subwarp(sw), CoopRt)));
-    let cells = p.per_scene(&k.scenes, k.res, &variants);
+    let cells = p.per_scene(&k.scenes, k.frame(k.res), &variants);
     cells.finish(&["sw4", "sw8", "sw16", "sw32"], speedups, 4, |_| {
         lines("paper gmeans: 1.72 / 1.97 / 2.09 / 2.15 — monotone in subwarp size")
     })
@@ -798,7 +838,8 @@ const ABLATION_SCENES: [SceneId; 4] =
     [SceneId::Bunny, SceneId::Crnvl, SceneId::Fox, SceneId::Lands];
 
 fn ablations(k: &Knobs, p: &mut Plan) -> Finish {
-    let mut per_scene = |variants: Vec<Variant>| p.per_scene(&ABLATION_SCENES, k.res, &variants);
+    let frame = k.frame(k.res);
+    let mut per_scene = |variants: Vec<Variant>| p.per_scene(&ABLATION_SCENES, frame, &variants);
     let rates = [1, 2, 4, 8].map(|r| (rtx_with(|c| c.lbu_moves_per_cycle = r), CoopRt));
     let lbu = per_scene(over_baseline(rates));
     let steals = [StealPosition::Top, StealPosition::Bottom];
@@ -811,7 +852,7 @@ fn ablations(k: &Knobs, p: &mut Plan) -> Finish {
     )]));
     let sah = per_scene(over_baseline([]));
     let median = ABLATION_SCENES.map(|id| {
-        let cell = Cell::new(id, (rtx(), Baseline, PT), k.res);
+        let cell = Cell::new(id, (rtx(), Baseline, PT), frame);
         p.cell(Cell {
             builder: Builder::Median,
             ..cell
@@ -843,7 +884,7 @@ fn ablations(k: &Knobs, p: &mut Plan) -> Finish {
         let mut t4 = Table::new(&["slowdown", "sah dpth", "med dpth"]);
         t4.caption = "BVH build quality: SAH vs median split (baseline policy)".into();
         for ((id, sah), med) in sah.0.iter().zip(median) {
-            let depth = |b| m.scene(*id, b).stats.depth as f64;
+            let depth = |b| m.scene(*id, b, frame.detail).stats.depth as f64;
             let row = vec![
                 speedup(&m[med], &m[sah[0]]),
                 depth(Builder::Sah),
@@ -859,7 +900,7 @@ fn ablations(k: &Knobs, p: &mut Plan) -> Finish {
 
 fn ablation_tiling(k: &Knobs, p: &mut Plan) -> Finish {
     let tiled = rtx_with(|c| c.warp_tiling = WarpTiling::Tiled8x4);
-    let cells = p.per_scene(&k.scenes, k.res, &study(tiled, PT));
+    let cells = p.per_scene(&k.scenes, k.frame(k.res), &study(tiled, PT));
     let row: RowFn = |f| {
         let s = |a: usize, b: usize| speedup(f[a], f[b]);
         vec![s(0, 2), s(0, 3), s(0, 1), s(2, 3)]
@@ -875,7 +916,7 @@ fn ablation_tiling(k: &Knobs, p: &mut Plan) -> Finish {
 
 fn ext_bfs_traversal(k: &Knobs, p: &mut Plan) -> Finish {
     let bfs = rtx_with(|c| c.traversal_order = TraversalOrder::Bfs);
-    let cells = p.per_scene(&k.scenes, k.res, &study(bfs, PT));
+    let cells = p.per_scene(&k.scenes, k.frame(k.res), &study(bfs, PT));
     let row: RowFn = |f| {
         let work = f[2].events.box_tests as f64 / f[0].events.box_tests.max(1) as f64;
         vec![
@@ -910,7 +951,7 @@ fn study_speedups(f: &[&FrameResult]) -> Vec<f64> {
 
 fn ext_prefetch(k: &Knobs, p: &mut Plan) -> Finish {
     let prefetch = rtx_with(|c| c.prefetch_children = true);
-    let cells = p.per_scene(&k.scenes, k.res, &study(prefetch, PT));
+    let cells = p.per_scene(&k.scenes, k.frame(k.res), &study(prefetch, PT));
     let row: RowFn = |f| [study_speedups(f), vec![f[3].mem.prefetches as f64 / 1000.0]].concat();
     cells.finish(&["pf only", "coop", "coop+pf", "pf req k"], row, 3, |_| {
         lines(
@@ -922,7 +963,7 @@ fn ext_prefetch(k: &Knobs, p: &mut Plan) -> Finish {
 
 fn ext_compaction(k: &Knobs, p: &mut Plan) -> Finish {
     let compact = rtx_with(|c| c.compaction = true);
-    let cells = p.per_scene(&k.scenes, k.res, &study(compact, PT));
+    let cells = p.per_scene(&k.scenes, k.frame(k.res), &study(compact, PT));
     cells.finish(&["compact", "coop", "both"], study_speedups, 3, |_| {
         lines(
             "expectation (paper §3): compaction addresses inactive lanes but not early\n\
@@ -938,7 +979,7 @@ fn ext_compaction(k: &Knobs, p: &mut Plan) -> Finish {
 
 fn ext_predictor(k: &Knobs, p: &mut Plan) -> Finish {
     let predicted = rtx_with(|c| c.intersection_predictor = true);
-    let mut study = |kind| p.per_scene(&k.scenes, k.res, &study(predicted.clone(), kind));
+    let mut study = |kind| p.per_scene(&k.scenes, k.frame(k.res), &study(predicted.clone(), kind));
     let studies = [(AO, study(AO)), (PT, study(PT))];
     Box::new(move |m| {
         let mut tables = studies.map(|(kind, cells)| {
@@ -966,8 +1007,173 @@ fn ext_predictor(k: &Knobs, p: &mut Plan) -> Finish {
     })
 }
 
+/// The cells of an on/off study of one config axis: per policy, each
+/// scene's cell on the RTX 2060 config, then on the config with the
+/// axis on.
+struct AxisStudy {
+    /// Header of the `on` cycles column: the axis mode's label.
+    on: &'static str,
+    /// Baseline's cells, then CoopRT's.
+    cells: [PerScene; 2],
+}
+
+fn axis_study(
+    p: &mut Plan,
+    scenes: &[SceneId],
+    frame: Frame,
+    kind: fn(SceneId) -> ShaderKind,
+    (on, cfg): (&'static str, GpuConfig),
+) -> AxisStudy {
+    let cells = [Baseline, CoopRt].map(|policy| {
+        let mut cells = Vec::new();
+        for &id in scenes {
+            let pair =
+                [rtx(), cfg.clone()].map(|c| p.cell(Cell::new(id, (c, policy, kind(id)), frame)));
+            cells.push((id, pair.to_vec()));
+        }
+        PerScene(cells)
+    });
+    AxisStudy { on, cells }
+}
+
+impl AxisStudy {
+    /// One table per policy, captioned with its label: per scene the
+    /// `on` cell's speedup over the `off` cell, both cycle counts, then
+    /// the `extra` columns `row` computes from the (off, on) frames;
+    /// a gmean row over the speedup.
+    fn tables(&self, m: &Matrix, extra: &[Column], row: RowFn) -> Vec<Table> {
+        let columns = [col("x", 9, 3), col("off", 9, 0), col(self.on, 11, 0)];
+        let policies = [Baseline, CoopRt].into_iter().zip(&self.cells);
+        let tables = policies.map(|(policy, cells)| {
+            let mut t = Table::with("scene", [&columns, extra].concat());
+            for (id, c) in &cells.0 {
+                let (off, on) = (&m[c[0]], &m[c[1]]);
+                let head = vec![speedup(off, on), off.cycles as f64, on.cycles as f64];
+                t.row(id.name(), [head, row(&[off, on])].concat());
+            }
+            t.caption = policy.label().into();
+            t.gmean_row(1);
+            t
+        });
+        tables.collect()
+    }
+}
+
+fn ext_reorder(k: &Knobs, p: &mut Plan) -> Finish {
+    let hash = ReorderPolicy::OctantHash;
+    let on = (hash.label(), rtx().with_reorder(hash));
+    let study = axis_study(p, &k.scenes, k.frame(k.res), |_| PT, on);
+    Box::new(move |m| {
+        let rates = ["simt off", "simt hash", "l1 off", "l1 hash"].map(|n| col(n, 9, 3));
+        let extra = [&rates[..], &[col("moved", 9, 0), col("rays", 9, 0)]].concat();
+        let mut tables = study.tables(m, &extra, |f| {
+            let l1 = |r: &FrameResult| 1.0 - r.mem.l1.miss_rate();
+            let (simt, moved) = (FrameResult::simt_efficiency, f[1].reorder.rays_moved);
+            vec![
+                simt(f[0]),
+                simt(f[1]),
+                l1(f[0]),
+                l1(f[1]),
+                moved as f64,
+                f[0].rays as f64,
+            ]
+        });
+        tables[1].notes = lines(
+            "path tracing; reordering is timing-only, so every cell renders its unordered\n\
+             Baseline twin's image. 'simt' = SIMT efficiency, 'l1' = L1 hit rate, 'moved' =\n\
+             rays the octant-hash sort moved. Morton is left out: every primary ray shares\n\
+             the camera origin, so the origin-major key moves no ray (ext_queries keeps it).",
+        );
+        tables
+    })
+}
+
+fn ext_raypath(k: &Knobs, p: &mut Plan) -> Finish {
+    let path = PredictPolicy::RayPath;
+    let on = (path.label(), rtx().with_predict(path));
+    let study = axis_study(p, &k.scenes, k.frame(k.res), |_| ShaderKind::Shadow, on);
+    Box::new(move |m| {
+        let extra = [
+            col("lookups", 9, 0),
+            col("hit rate", 9, 3),
+            col("go-up", 9, 0),
+            col("saved", 9, 0),
+        ];
+        let mut tables = study.tables(m, &extra, |f| {
+            let s = &f[1].predictor;
+            let hit_rate = s.path_entry_hits as f64 / s.path_candidates.max(1) as f64;
+            let [lookups, go_up, saved] =
+                [s.path_lookups, s.path_go_up_steps, s.node_fetches_saved].map(|n| n as f64);
+            vec![lookups, hit_rate, go_up, saved]
+        });
+        tables[1].notes = lines(
+            "shadow rays; the go-up-to-root fallback keeps occlusion exact, so every cell\n\
+             renders its unpredicted Baseline twin's image. 'hit rate' = predicted entries\n\
+             whose subtree held the hit, 'go-up' = fallback steps, 'saved' = ancestor node\n\
+             fetches skipped.",
+        );
+        tables
+    })
+}
+
+/// Scene detail, batch size and sample salt of [`ext_queries`], fixed
+/// so that its cells are the golden query pins' at any knobs.
+const QUERY_DETAIL: u32 = 16;
+const QUERY_COUNT: usize = 2048;
+const QUERY_SALT: u64 = 1;
+
+/// The query shader each query scene exists to exercise.
+fn query_kind(id: SceneId) -> ShaderKind {
+    match id {
+        SceneId::Qclu => ShaderKind::Radius,
+        SceneId::Qamr => ShaderKind::Contain,
+        _ => ShaderKind::Knn,
+    }
+}
+
+fn ext_queries(_: &Knobs, p: &mut Plan) -> Finish {
+    let frame = Frame {
+        detail: QUERY_DETAIL,
+        width: QUERY_COUNT,
+        height: 1,
+        salt: QUERY_SALT,
+    };
+    let morton = ReorderPolicy::Morton;
+    let on = (morton.label(), rtx().with_reorder(morton));
+    let study = axis_study(p, &QUERY_SCENES, frame, query_kind, on);
+    Box::new(move |m| {
+        // The timing model may only time a query, never approximate it.
+        for (i, id) in QUERY_SCENES.into_iter().enumerate() {
+            let scene = m.scene(id, Builder::Sah, QUERY_DETAIL);
+            let want = oracle_answers(scene, query_kind(id), QUERY_COUNT, QUERY_SALT);
+            for &c in study.cells.iter().flat_map(|s| &s.0[i].1) {
+                let answers = &m[c].query_results;
+                assert!(*answers == want, "{id}: cell {c} differs from the oracle");
+            }
+        }
+        let extra = [col("rays", 9, 0), col("hits", 9, 0)];
+        let mut tables = study.tables(m, &extra, |f| {
+            let hits: usize = f[0].query_results.iter().map(Vec::len).sum();
+            vec![f[0].rays as f64, hits as f64]
+        });
+        let kinds = QUERY_SCENES.map(|id| format!("{id} {}", query_kind(id).key()));
+        let over_baseline = QUERY_SCENES.iter().enumerate().map(|(i, id)| {
+            let [off, on] = [1, 2].map(|c| tables[0].rows[i].1[c] / tables[1].rows[i].1[c]);
+            format!("{id} {off:.2}x / {on:.2}x")
+        });
+        let over_baseline: Vec<String> = over_baseline.collect();
+        tables[1].notes = lines(&format!(
+            "{QUERY_COUNT} queries at detail {QUERY_DETAIL}, salt {QUERY_SALT} ({}); every cell's\n\
+             answers equal the brute-force oracle. CoopRT over baseline, off / morton:\n{}",
+            kinds.join(", "),
+            over_baseline.join(", ")
+        ));
+        tables
+    })
+}
+
 fn supp_latency(k: &Knobs, p: &mut Plan) -> Finish {
-    let cells = p.per_scene(&k.scenes, k.res, &twin(&rtx(), PT));
+    let cells = p.per_scene(&k.scenes, k.frame(k.res), &twin(&rtx(), PT));
     let row: RowFn = |f| {
         let [b, c] = [f[0], f[1]].map(|r| {
             let mut latencies = r.trace_latencies.clone();
@@ -985,7 +1191,7 @@ fn supp_latency(k: &Knobs, p: &mut Plan) -> Finish {
 
 /// Every table and figure of the evaluation, in print order.
 #[rustfmt::skip]
-pub static FIGURES: [Figure; 23] = [
+pub static FIGURES: [Figure; 26] = [
     Figure { name: "table2_scene_stats", title: "Table 2: scene statistics", plan: table2 },
     Figure { name: "fig01_stall_breakdown", title: "Fig. 1: pipeline stall breakdown (baseline, path tracing)", plan: fig01 },
     Figure { name: "fig02_thread_activity", title: "Fig. 2: busy-thread fraction over time (baseline, path tracing)", plan: fig02 },
@@ -1008,6 +1214,9 @@ pub static FIGURES: [Figure; 23] = [
     Figure { name: "ext_prefetch", title: "Extension: child-node prefetching x CoopRT (normalized to baseline)", plan: ext_prefetch },
     Figure { name: "ext_compaction", title: "Comparative baseline: thread compaction vs CoopRT (path tracing)", plan: ext_compaction },
     Figure { name: "ext_predictor", title: "Comparative technique: intersection prediction vs CoopRT", plan: ext_predictor },
+    Figure { name: "ext_reorder", title: "Extension: octant-hash ray reordering (speedup over unordered, per policy)", plan: ext_reorder },
+    Figure { name: "ext_raypath", title: "Extension: ray-path prediction on shadow rays (speedup over unpredicted, per policy)", plan: ext_raypath },
+    Figure { name: "ext_queries", title: "Extension: spatial queries x Morton reordering (speedup over unordered, per policy)", plan: ext_queries },
     Figure { name: "supp_latency", title: "Supplementary: trace_ray latency distribution (cycles)", plan: supp_latency },
 ];
 
@@ -1025,7 +1234,8 @@ pub struct Run {
     pub cells: Vec<Cell>,
     /// Simulations run.
     pub simulated: usize,
-    /// Baseline/CoopRT twins asserted image-identical.
+    /// Cells asserted image-identical to their Baseline, reorder-off,
+    /// predict-off twin.
     pub twins: usize,
 }
 
@@ -1034,8 +1244,10 @@ pub struct Run {
 ///
 /// # Panics
 ///
-/// Panics if a Baseline/CoopRT twin in the matrix renders different
-/// images: the policies must agree functionally.
+/// Panics if a cell renders a different image than its Baseline,
+/// reorder-off, predict-off twin (the policy, reordering and ray-path
+/// prediction are timing-only), or if a query cell's answers differ
+/// from the brute-force oracle.
 pub fn run(knobs: &Knobs, filter: &[String]) -> Run {
     let selected = |f: &&Figure| filter.is_empty() || filter.iter().any(|p| f.name.starts_with(p));
     let figures: Vec<&'static Figure> = FIGURES.iter().filter(selected).collect();
@@ -1048,46 +1260,53 @@ pub fn run(knobs: &Knobs, filter: &[String]) -> Run {
         scenes: Vec::new(),
         frames: Vec::new(),
     };
-    for &(id, builder) in &plan.scenes {
+    for &(id, builder, detail) in &plan.scenes {
         let scene = match builder {
-            Builder::Sah => id.build(knobs.detail),
+            Builder::Sah => id.build(detail),
             Builder::Median => {
-                let sah = matrix.scene(id, Builder::Sah);
+                let sah = matrix.scene(id, Builder::Sah, detail);
                 sah.rebuilt_with(cooprt_bvh::build_binary_median)
             }
         };
-        matrix.scenes.push(((id, builder), scene));
+        matrix.scenes.push(((id, builder, detail), scene));
     }
     let simulated = AtomicUsize::new(0);
     matrix.frames = parallel::par_map(&plan.cells, knobs.threads, |_, cell| {
         simulated.fetch_add(1, Ordering::Relaxed);
-        let scene = matrix.scene(cell.scene, cell.builder);
-        let mut sim = Simulation::new(scene, &cell.cfg, cell.policy);
+        let Frame {
+            detail,
+            width,
+            height,
+            salt,
+        } = cell.frame;
+        let scene = matrix.scene(cell.scene, cell.builder, detail);
+        let mut sim = Simulation::new(scene, &cell.cfg, cell.policy).with_sample_salt(salt);
         if let Some(warp) = cell.timeline_warp {
             sim = sim.with_timeline_warp(warp);
         }
-        let frame = sim.run_frame(cell.kind, cell.res, cell.res);
+        let frame = sim.run_frame(cell.kind, width, height);
         frame.expect("every figure requests a valid frame")
     });
 
-    // The policies must agree functionally on every cell they share.
+    // The policy, reordering and prediction are timing-only: every
+    // cell must render the image of its Baseline, reorder-off,
+    // predict-off twin when the matrix holds one.
     let mut twins = 0;
-    let baselines = plan
-        .cells
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.policy == Baseline);
-    for (i, cell) in baselines {
-        let coop = Cell {
-            policy: CoopRt,
+    for (i, cell) in plan.cells.iter().enumerate() {
+        let cfg = cell.cfg.clone().with_reorder(ReorderPolicy::Off);
+        let twin = Cell {
+            policy: Baseline,
+            cfg: cfg.with_predict(PredictPolicy::Off),
             ..cell.clone()
         };
-        if let Some(j) = plan.cells.iter().position(|c| *c == coop) {
-            let (scene, kind, res) = (cell.scene, cell.kind, cell.res);
-            let what = format!("cells {i} and {j} ({scene} {kind:?} at {res}x{res})");
+        if twin == *cell {
+            continue;
+        }
+        if let Some(j) = plan.cells.iter().position(|c| *c == twin) {
+            let (scene, kind) = (cell.scene, cell.kind);
             assert!(
                 matrix[i].image == matrix[j].image,
-                "{what}: Baseline and CoopRT images differ"
+                "cells {j} and {i} ({scene} {kind:?}): images differ"
             );
             twins += 1;
         }
@@ -1121,7 +1340,8 @@ fn render_text(knobs: &Knobs, run: &Run) -> String {
     let (requested, simulated, twins) = (run.requested, run.simulated, run.twins);
     let _ = writeln!(
         out,
-        "\ncells: {requested} requested, {simulated} simulated; {twins} Baseline/CoopRT twins image-identical"
+        "\ncells: {requested} requested, {simulated} simulated; {twins} image-identical to their \
+         Baseline, reorder-off, predict-off twin"
     );
     out
 }

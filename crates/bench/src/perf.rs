@@ -1,8 +1,8 @@
 //! Minimal wall-clock measurement harness.
 //!
 //! Replaces criterion (unavailable in offline builds) for the
-//! `micro_kernels` and `simperf` targets: warm up, run a fixed
-//! iteration count, report mean time per iteration.
+//! `micro_kernels` target: warm up, run a fixed iteration count,
+//! report mean time per iteration.
 
 use std::time::Instant;
 

@@ -1,18 +1,17 @@
 //! Golden cycle-count regression suite.
 //!
-//! Every scene × policy cell of the `simperf` matrix, run at resolution
-//! 96 and detail 16 (RTX 2060 config, path tracing), is pinned here to
-//! the exact cycle count the simulator reported when the numbers were
-//! recorded. That is the point
-//! `COOPRT_RES=96 COOPRT_DETAIL=16 cargo bench -p cooprt-bench --bench simperf`
-//! measures; the checked-in `BENCH_simperf.json` is generated at
-//! resolution 64 and detail 32, so its counts differ from these (wknd
-//! is 14,715/8,803 there, 15,278/9,162 here). The simulator is
+//! Every render scene × policy cell, path-traced at resolution 96 and
+//! detail 16 on the RTX 2060 config, is pinned here to the exact cycle
+//! count the simulator reported when the numbers were recorded. The
+//! `paper` bench runs the same cells at its own knobs (64 and 32 by
+//! default), so `BENCH_paper.json`'s counts differ from these (wknd is
+//! 14,715/8,803 there, 15,278/9,162 here). The simulator is
 //! deterministic, and hot-path work is host-*representation* only
 //! (flat caches, slotted MSHRs, the event calendar — see `DESIGN.md`),
 //! so any change that perturbs one of these counts is a *behavioural*
 //! change: it must either be a bug or come with a deliberate
-//! re-baselining of this table and of `BENCH_simperf.json`.
+//! re-baseline. A deliberate re-baseline copies the `left` value of
+//! each failing assert into its table here.
 //!
 //! The parameters are hard-coded — `COOPRT_RES` / `COOPRT_DETAIL` are
 //! ignored — so the suite means the same thing in every environment.
@@ -33,7 +32,7 @@
 //!
 //! The spatial-query matrix gets the same treatment: every query scene
 //! × policy cell (gather-mode kNN / radius / containment batches, the
-//! simperf `query` section's hard-coded parameters) is pinned to its
+//! `paper` bench's `ext_queries` parameters) is pinned to its
 //! exact cycle count, and every pinned run must also answer bitwise
 //! identically to the brute-force oracle.
 
@@ -47,7 +46,7 @@ use cooprt_telemetry::{EventKind, Tracer};
 const RES: usize = 96;
 const DETAIL: u32 = 16;
 
-/// `(scene, baseline cycles, cooprt cycles)` of the simperf matrix at
+/// `(scene, baseline cycles, cooprt cycles)` of the render matrix at
 /// `RES` x `RES`, detail `DETAIL`.
 const GOLDEN: &[(SceneId, u64, u64)] = &[
     (SceneId::Wknd, 15278, 9162),
@@ -266,8 +265,8 @@ fn check_predict(id: SceneId, base_golden: u64, coop_golden: u64) {
 }
 
 /// Batch size and sample salt of the query rows — the same values the
-/// simperf `query` section hard-codes, so these pins and the
-/// `BENCH_simperf.json` rows are the same measurement.
+/// `paper` registry's `ext_queries` figure fixes, so these pins and its
+/// `off` columns are the same measurement.
 const QUERY_COUNT: usize = 2048;
 const QUERY_SALT: u64 = 1;
 

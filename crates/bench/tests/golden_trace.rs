@@ -13,8 +13,8 @@
 //!   and a migration story, not a silent re-baseline;
 //! - the **timing model** changed: the same recorded front end now
 //!   takes a different number of cycles. That must either be a bug or
-//!   come with a deliberate re-baselining of this file alongside
-//!   `golden_cycles.rs` and `BENCH_simperf.json`.
+//!   come with a deliberate re-baseline, which copies the `left` value
+//!   of each failing assert here, as it does in `golden_cycles.rs`.
 //!
 //! Regenerate (only for a deliberate re-baseline) with:
 //!

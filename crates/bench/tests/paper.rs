@@ -1,6 +1,9 @@
 //! The `paper` figure registry at a tiny scale: every figure runs
 //! through the one shared cell matrix, reports finite numbers, and
-//! renders the same bytes on any worker count.
+//! renders the same bytes on any worker count. Running it also runs
+//! the registry's checks: every cell renders the image of its
+//! Baseline, reorder-off, predict-off twin, and every query cell
+//! answers as the brute-force oracle does.
 
 use cooprt_bench::paper::{run, Knobs, Run, FIGURES};
 use cooprt_scenes::SceneId;
@@ -60,6 +63,24 @@ fn every_figure_reports_through_one_shared_matrix() {
     assert!(one.simulated < one.requested, "{}", one.requested);
     assert!(one.twins > 0);
 
+    // Query cells carry their own detail, batch and salt, so at any
+    // knobs the `off` columns of `ext_queries` are the golden query
+    // pins (Baseline table, then CoopRT).
+    let (_, queries) = one
+        .tables
+        .iter()
+        .find(|(f, _)| f.name == "ext_queries")
+        .unwrap();
+    let off: Vec<Vec<f64>> = queries
+        .iter()
+        .map(|t| t.rows.iter().map(|(_, v)| v[1]).collect())
+        .collect();
+    let golden = [
+        [13765.0, 28495.0, 9925.0, 12838.0],
+        [7618.0, 7482.0, 5587.0, 7574.0],
+    ];
+    assert_eq!(off, golden.map(Vec::from));
+
     let two = tiny(2, &[]);
     assert_eq!(one.text, two.text, "stdout depends on the worker count");
     assert_eq!(one.json, two.json, "JSON depends on the worker count");
@@ -79,4 +100,12 @@ fn a_filter_selects_figures_by_name_prefix() {
     );
     // Fig. 9 alone asks for one Baseline/CoopRT twin per scene.
     assert_eq!((run.requested, run.simulated, run.twins), (4, 4, 2));
+}
+
+#[test]
+fn axis_studies_pair_every_cell_with_its_plain_baseline_twin() {
+    // Two scenes, each under both policies with the axis off and on:
+    // every cell but the plain Baseline one has a twin.
+    let run = tiny(2, &["ext_reorder", "ext_raypath"]);
+    assert_eq!((run.requested, run.simulated, run.twins), (16, 16, 12));
 }

@@ -243,8 +243,8 @@ pub struct FrameResult {
     /// Memory-system counters (Figs. 12, 16).
     pub mem: MemStats,
     /// Total rays dispatched to the RT units over the frame (active
-    /// threads of every `trace_ray`). Feeds the rays/sec throughput
-    /// metric of the `simperf` bench.
+    /// threads of every `trace_ray`). Feeds perfbench's rays/sec
+    /// throughput metric.
     pub rays: u64,
     /// RT-unit event counters.
     pub events: EnergyEvents,

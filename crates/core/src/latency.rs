@@ -24,15 +24,6 @@ impl TraceLatencies {
         self.sorted = false;
     }
 
-    /// Folds another collection's samples into this one (used to merge
-    /// per-worker latency series — e.g. the per-client request
-    /// latencies of the `loadgen` harness — before computing
-    /// quantiles over the union).
-    pub fn merge(&mut self, other: &TraceLatencies) {
-        self.samples.extend_from_slice(&other.samples);
-        self.sorted = false;
-    }
-
     /// Number of recorded instructions.
     pub fn len(&self) -> usize {
         self.samples.len()
@@ -150,20 +141,6 @@ mod tests {
         assert_eq!(t.quantile(1.0), 9);
         t.record(100);
         assert_eq!(t.quantile(1.0), 100);
-    }
-
-    #[test]
-    fn merge_unions_the_samples() {
-        let mut a = filled(&[1, 2, 3]);
-        assert_eq!(a.quantile(1.0), 3); // force a sort before merging
-        let b = filled(&[10, 20]);
-        a.merge(&b);
-        assert_eq!(a.len(), 5);
-        assert_eq!(a.quantile(1.0), 20);
-        assert_eq!(a.quantile(0.0), 1);
-        let empty = TraceLatencies::new();
-        a.merge(&empty);
-        assert_eq!(a.len(), 5);
     }
 
     #[test]

@@ -43,8 +43,9 @@
 //! depends only on that pixel's own ray sequence and hits, which are
 //! warp-independent. Images are bitwise identical to the unordered run
 //! under every policy combination — `reorder_is_functionally_neutral`
-//! here, the `cooprt-check` reorder oracle, and the simperf reorder
-//! matrix all pin that.
+//! here, the `cooprt-check` reorder oracle, and the `paper` bench's
+//! twin check over its `ext_reorder` and `ext_queries` cells all pin
+//! that.
 
 use cooprt_math::{Aabb, Ray, Vec3};
 

@@ -329,8 +329,8 @@ pub struct RtUnit {
     /// Energy-event counters accumulated by this unit.
     pub events: EnergyEvents,
     /// Total rays dispatched into this unit (active threads across all
-    /// issued `trace_ray` instructions). Feeds the rays/sec throughput
-    /// metric of the `simperf` bench.
+    /// issued `trace_ray` instructions); summed into
+    /// `FrameResult::rays`.
     pub rays_issued: u64,
 }
 

@@ -1241,6 +1241,37 @@ mod tests {
     }
 
     #[test]
+    fn one_unpredicted_trace_replays_ray_path_prediction() {
+        // Ray-path prediction is timing-only too (the go-up fallback
+        // keeps any-hit outcomes exact), so shadow rays recorded with
+        // prediction off replay under `RayPath` exactly as a live
+        // predicted run: same cycles, image and predictor counters.
+        let scene = SceneId::Wknd.build(4);
+        let (recorded, trace) = Trace::record(
+            &scene,
+            4,
+            &GpuConfig::small(2),
+            TraversalPolicy::Baseline,
+            ShaderKind::Shadow,
+            16,
+            16,
+        )
+        .unwrap();
+        let cfg = GpuConfig::small(2).with_predict(crate::PredictPolicy::RayPath);
+        for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
+            let live = Simulation::new(&scene, &cfg, policy)
+                .run_frame(ShaderKind::Shadow, 16, 16)
+                .unwrap();
+            let replayed = trace.replay(&cfg, policy).unwrap();
+            assert_eq!(replayed.cycles, live.cycles, "{policy:?}");
+            assert_eq!(replayed.image, live.image, "{policy:?}");
+            assert_eq!(replayed.image, recorded.image, "{policy:?}");
+            assert_eq!(replayed.predictor, live.predictor, "{policy:?}");
+            assert!(replayed.predictor.node_fetches_saved > 0, "{policy:?}");
+        }
+    }
+
+    #[test]
     fn replay_rejects_shader_visible_config_changes() {
         let (_, trace) = record_small(
             SceneId::Wknd,

@@ -1,7 +1,7 @@
 //! A minimal blocking HTTP/1.1 client for exercising the service.
 //!
-//! Used by the CLI smoke test, the `loadgen` benchmark, and the e2e
-//! tests — all of which need exactly this much: open a keep-alive
+//! Used by the CLI smoke test, perfbench's `serve_mixed` workload, and
+//! the e2e tests — all of which need exactly this much: open a keep-alive
 //! connection, send a request, read the status line, headers, and a
 //! `Content-Length` body. It is *not* a general HTTP client (no
 //! chunked bodies, no redirects) and stays inside the workspace's

@@ -1,7 +1,7 @@
 //! A hand-rolled JSON writer with correct escaping and nesting helpers.
 //!
 //! The workspace builds with zero external dependencies, so every JSON
-//! document we emit — `BENCH_simperf.json`, `METRICS.json`, Chrome
+//! document we emit — `BENCH_paper.json`, `METRICS.json`, Chrome
 //! trace files — goes through this writer instead of ad-hoc
 //! `String::push_str` formatting scattered across benches.
 //!
@@ -10,8 +10,8 @@
 //! - **pretty**: each element on its own line, two-space indentation
 //!   per pretty nesting level (the style of the existing bench JSON);
 //! - **inline**: the whole container on one line, elements separated by
-//!   `", "` (used for array-of-record rows such as the `scenes` rows in
-//!   `BENCH_simperf.json`, and for compact time-series arrays).
+//!   `", "` (used for array-of-record rows such as the table rows in
+//!   `BENCH_paper.json`, and for compact time-series arrays).
 //!
 //! Floats are written with an explicit fixed precision; non-finite
 //! values (which JSON cannot represent) are written as `null`.
@@ -313,8 +313,8 @@ mod tests {
 
     #[test]
     fn inline_rows_match_the_bench_layout() {
-        // This pins the exact byte layout simperf has always produced,
-        // so porting it onto the writer is output-compatible.
+        // This pins the byte layout of the checked-in bench JSON
+        // (pretty objects holding inline rows).
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_u64("resolution", 96);

@@ -19,7 +19,7 @@
 //!   warps, RT-unit fetch streams, the LBU, caches and DRAM channels as
 //!   separate tracks.
 //! - [`JsonWriter`] — the hand-rolled JSON emitter shared by the trace
-//!   exporter, the metrics report in `cooprt-core`, and the `simperf`
+//!   exporter, the metrics report in `cooprt-core`, and the `paper`
 //!   bench (correct string escaping, pretty and inline container
 //!   styles, fixed-precision floats). The workspace has no external
 //!   dependencies, so this is the one JSON producer everything uses.

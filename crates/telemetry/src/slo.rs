@@ -96,9 +96,8 @@ pub struct SloSnapshot {
 }
 
 impl SloSnapshot {
-    /// Writes the snapshot's fields into an open JSON object — shared
-    /// by the server's `/metrics` snapshot and `loadgen`'s
-    /// BENCH_serve.json.
+    /// Writes the snapshot's fields into an open JSON object (the `slo`
+    /// section of the server's `/metrics` snapshot).
     pub fn write_fields(&self, w: &mut JsonWriter) {
         w.field_u64("window_secs", self.window_secs);
         w.field_u64("count", self.count);
