@@ -977,36 +977,6 @@ fn ext_compaction(k: &Knobs, p: &mut Plan) -> Finish {
     })
 }
 
-fn ext_predictor(k: &Knobs, p: &mut Plan) -> Finish {
-    let predicted = rtx_with(|c| c.intersection_predictor = true);
-    let mut study = |kind| p.per_scene(&k.scenes, k.frame(k.res), &study(predicted.clone(), kind));
-    let studies = [(AO, study(AO)), (PT, study(PT))];
-    Box::new(move |m| {
-        let mut tables = studies.map(|(kind, cells)| {
-            let mut t = cells.table(m, &["predict", "coop", "both", "verify%"], |f| {
-                let stats = &f[2].predictor;
-                let verify = match stats.lookups {
-                    0 => 0.0,
-                    n => 100.0 * stats.verified as f64 / n as f64,
-                };
-                [study_speedups(f), vec![verify]].concat()
-            });
-            t.caption = format!("{} shader (normalized to plain baseline)", kind.key());
-            t.gmean_row(3);
-            t
-        });
-        tables[1].notes = lines(
-            "expectation (paper §8.2): prediction helps only where rays are coherent\n\
-             enough to repeat signatures. At this reduced resolution the verified-\n\
-             prediction coverage is a few percent of rays (raise COOPRT_RES to grow\n\
-             it), so its gains are marginal — consistent with the original paper's\n\
-             reliance on full-resolution coherence and its untested status on PT —\n\
-             while CoopRT needs no coherence at all and wins on every workload.",
-        );
-        tables.to_vec()
-    })
-}
-
 /// The cells of an on/off study of one config axis: per policy, each
 /// scene's cell on the RTX 2060 config, then on the config with the
 /// axis on.
@@ -1191,7 +1161,7 @@ fn supp_latency(k: &Knobs, p: &mut Plan) -> Finish {
 
 /// Every table and figure of the evaluation, in print order.
 #[rustfmt::skip]
-pub static FIGURES: [Figure; 26] = [
+pub static FIGURES: [Figure; 25] = [
     Figure { name: "table2_scene_stats", title: "Table 2: scene statistics", plan: table2 },
     Figure { name: "fig01_stall_breakdown", title: "Fig. 1: pipeline stall breakdown (baseline, path tracing)", plan: fig01 },
     Figure { name: "fig02_thread_activity", title: "Fig. 2: busy-thread fraction over time (baseline, path tracing)", plan: fig02 },
@@ -1213,7 +1183,6 @@ pub static FIGURES: [Figure; 26] = [
     Figure { name: "ext_bfs_traversal", title: "Extension: BFS cooperative traversal (normalized to DFS baseline)", plan: ext_bfs_traversal },
     Figure { name: "ext_prefetch", title: "Extension: child-node prefetching x CoopRT (normalized to baseline)", plan: ext_prefetch },
     Figure { name: "ext_compaction", title: "Comparative baseline: thread compaction vs CoopRT (path tracing)", plan: ext_compaction },
-    Figure { name: "ext_predictor", title: "Comparative technique: intersection prediction vs CoopRT", plan: ext_predictor },
     Figure { name: "ext_reorder", title: "Extension: octant-hash ray reordering (speedup over unordered, per policy)", plan: ext_reorder },
     Figure { name: "ext_raypath", title: "Extension: ray-path prediction on shadow rays (speedup over unpredicted, per policy)", plan: ext_raypath },
     Figure { name: "ext_queries", title: "Extension: spatial queries x Morton reordering (speedup over unordered, per policy)", plan: ext_queries },

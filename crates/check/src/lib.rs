@@ -31,10 +31,9 @@
 //!   reorder policy must render the unordered image bitwise (both
 //!   traversal policies, compaction on and off), and sort keys must be
 //!   bitwise reproducible at any outer-parallelism width;
-//! - [`predictcheck`] fuzzes the speculative predictors: intersection
-//!   and ray-path prediction (alone and stacked) must render the
+//! - [`predictcheck`] fuzzes the ray-path predictor: it must render the
 //!   speculation-free image bitwise under both traversal policies, and
-//!   their stats counters must obey their containment order;
+//!   its stats counters must obey their containment order;
 //! - [`querycheck`] fuzzes the spatial-query subsystem: kNN, radius
 //!   search and point-in-cell containment answered through the timing
 //!   model must equal a brute-force scan of the raw domain exactly,
@@ -80,7 +79,8 @@ pub struct CheckFailure {
     /// `"bvh"`, `"image"`, `"invariants"`, `"engine"`,
     /// `"json-roundtrip"`, `"json-mutation"`, `"json-adversarial"`,
     /// `"serve-cache"`, `"trace-replay"`, `"reorder-image"`,
-    /// `"reorder-determinism"`).
+    /// `"reorder-determinism"`, `"predict-image"`, `"predict-stats"`,
+    /// `"query-exact"`).
     pub oracle: String,
     /// Human-readable description of the first divergence.
     pub detail: String,

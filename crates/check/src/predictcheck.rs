@@ -1,21 +1,18 @@
-//! Speculative-predictor differential oracle.
+//! Ray-path predictor differential oracle.
 //!
-//! Both predictors in `cooprt_core::predictor` are speculation that must
-//! never change what a ray computes, and this module fuzzes that claim
-//! from a [`FuzzCase`]:
+//! The ray-path predictor in `cooprt_core::predictor` is speculation
+//! that must never change what a ray computes, and this module fuzzes
+//! that claim from a [`FuzzCase`]:
 //!
-//! 1. **Prediction is timing-only** — a frame run with the intersection
-//!    predictor, the ray-path predictor, or both renders bitwise the
-//!    same image as the speculation-free run, under both traversal
-//!    policies. The intersection predictor verifies every candidate
-//!    with a real intersection test; the ray-path predictor's
-//!    go-up-level fallback walks a missed entry subtree back to the
+//! 1. **Prediction is timing-only** — a frame run with the ray-path
+//!    predictor renders bitwise the same image, and traces the same
+//!    rays, as the speculation-free run under both traversal policies.
+//!    The go-up-level fallback walks a missed entry subtree back to the
 //!    root, so any-hit occlusion answers are exact.
-//! 2. **Counters are honest** — the stats families obey their
-//!    containment order (candidates ⊆ lookups, verified ⊆ candidates,
-//!    entry hits ⊆ path candidates), so MetricsReport ratios can be
-//!    trusted. This is the regression guard for the historical
-//!    stale-candidate overcount.
+//! 2. **Counters are honest** — the stats obey their containment order
+//!    (candidates ⊆ lookups, stale ⊆ lookups, entry hits ⊆
+//!    candidates), so MetricsReport ratios can be trusted. This is the
+//!    regression guard for the historical stale-candidate overcount.
 //!
 //! Failing cases shrink through the same [`shrink`]
 //! pipeline as the simulator oracles and report a
@@ -31,13 +28,6 @@ fn bits(c: &Rgb) -> [u32; 3] {
     [c.r.to_bits(), c.g.to_bits(), c.b.to_bits()]
 }
 
-/// The three speculative configurations checked against the reference.
-const VARIANTS: [(&str, bool, PredictPolicy); 3] = [
-    ("intersection", true, PredictPolicy::Off),
-    ("ray-path", false, PredictPolicy::RayPath),
-    ("both", true, PredictPolicy::RayPath),
-];
-
 fn compare(
     case: &FuzzCase,
     scene: &cooprt_scenes::Scene,
@@ -48,52 +38,46 @@ fn compare(
     let reference = Simulation::new(scene, &plain, policy)
         .run_frame(shader, case.width, case.height)
         .map_err(|e| CheckFailure::new("engine", format!("plain {policy:?}: {e}")))?;
-    for (label, intersection, predict) in VARIANTS {
-        let mut cfg = case.gpu_config().with_predict(predict);
-        cfg.intersection_predictor = intersection;
-        let run = Simulation::new(scene, &cfg, policy)
-            .run_frame(shader, case.width, case.height)
-            .map_err(|e| CheckFailure::new("engine", format!("{label} {policy:?}: {e}")))?;
-        for (i, (a, b)) in reference.image.iter().zip(run.image.iter()).enumerate() {
-            if bits(a) != bits(b) {
-                return Err(CheckFailure::new(
-                    "predict-image",
-                    format!(
-                        "{label} predictor under {policy:?} ({shader:?}): \
-                         pixel {i} differs (plain {a:?}, speculative {b:?})"
-                    ),
-                ));
-            }
-        }
-        if run.rays != reference.rays {
+    let cfg = plain.with_predict(PredictPolicy::RayPath);
+    let run = Simulation::new(scene, &cfg, policy)
+        .run_frame(shader, case.width, case.height)
+        .map_err(|e| CheckFailure::new("engine", format!("ray-path {policy:?}: {e}")))?;
+    for (i, (a, b)) in reference.image.iter().zip(run.image.iter()).enumerate() {
+        if bits(a) != bits(b) {
             return Err(CheckFailure::new(
                 "predict-image",
                 format!(
-                    "{label} predictor under {policy:?} ({shader:?}): \
-                     {} rays traced, plain traced {}",
-                    run.rays, reference.rays
+                    "ray-path predictor under {policy:?} ({shader:?}): \
+                     pixel {i} differs (plain {a:?}, speculative {b:?})"
                 ),
             ));
         }
-        let p = &run.predictor;
-        let honest = p.candidates <= p.lookups
-            && p.stale <= p.lookups
-            && p.verified <= p.candidates
-            && p.path_candidates <= p.path_lookups
-            && p.path_stale <= p.path_lookups
-            && p.path_entry_hits <= p.path_candidates;
-        if !honest {
-            return Err(CheckFailure::new(
-                "predict-stats",
-                format!("{label} predictor under {policy:?}: dishonest counters {p:?}"),
-            ));
-        }
+    }
+    if run.rays != reference.rays {
+        return Err(CheckFailure::new(
+            "predict-image",
+            format!(
+                "ray-path predictor under {policy:?} ({shader:?}): \
+                 {} rays traced, plain traced {}",
+                run.rays, reference.rays
+            ),
+        ));
+    }
+    let p = &run.predictor;
+    let honest = p.path_candidates <= p.path_lookups
+        && p.path_stale <= p.path_lookups
+        && p.path_entry_hits <= p.path_candidates;
+    if !honest {
+        return Err(CheckFailure::new(
+            "predict-stats",
+            format!("ray-path predictor under {policy:?}: dishonest counters {p:?}"),
+        ));
     }
     Ok(())
 }
 
-/// Runs the predictor differential over one case; `Ok` when every
-/// speculative variant renders the reference image with honest stats.
+/// Runs the predictor differential over one case; `Ok` when the
+/// ray-path run renders the reference image with honest stats.
 pub fn run_predict_case(case: &FuzzCase) -> Result<(), CheckFailure> {
     let scene = case.scene();
     for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
@@ -177,7 +161,7 @@ mod tests {
     #[test]
     fn a_handful_of_predict_seeds_pass() {
         // CI runs a larger budget in release; keep the in-crate smoke
-        // cheap (each seed runs eight-to-ten tiny frames).
+        // cheap (each seed runs four-to-six tiny frames).
         if let Err(failure) = run_predict_budget(0, 2) {
             panic!("{failure}");
         }

@@ -165,14 +165,6 @@ pub struct GpuConfig {
     /// [`ConfigError`](crate::ConfigError) at the simulation entry
     /// points).
     pub reorder_buckets: usize,
-    /// Intersection prediction (Liu et al., MICRO'21; §8.2): a per-SM
-    /// hardware cache mapping quantized ray signatures to previously hit
-    /// primitives. Predicted primitives are tested *first*: a verified
-    /// hit answers any-hit queries without traversal and seeds
-    /// `min_thit` for closest-hit queries. The paper notes it is
-    /// "effective with localized rays that AO and SH shaders generate"
-    /// but untested on PT — the `ext_predictor` bench measures both.
-    pub intersection_predictor: bool,
     /// Hash-based ray-path prediction (Demoullin et al.): any-hit
     /// traversals start at a predicted BVH entry node and walk up one
     /// parent level at a time on a subtree miss (go-up-level fallback),
@@ -183,11 +175,10 @@ pub struct GpuConfig {
     /// traversal *work* (node fetches flow through the same L1/MSHR
     /// path), so cycle counts move; images never do.
     pub predict: PredictPolicy,
-    /// Entries in each per-SM prediction table (direct-mapped; shared
-    /// sizing for the intersection and ray-path tables).
+    /// Entries in the per-SM ray-path prediction table (direct-mapped).
     ///
-    /// Must be non-zero when [`GpuConfig::intersection_predictor`] or
-    /// [`GpuConfig::predict`] is enabled — rejected with a typed
+    /// Must be non-zero when [`GpuConfig::predict`] is enabled —
+    /// rejected with a typed
     /// [`ConfigError::ZeroPredictorEntries`](crate::ConfigError) at
     /// every simulation entry point. Any non-zero size is
     /// valid — the table index is a splitmix64-finalized signature
@@ -246,7 +237,6 @@ impl GpuConfig {
             warp_tiling: WarpTiling::Linear,
             reorder: ReorderPolicy::Off,
             reorder_buckets: DEFAULT_REORDER_BUCKETS,
-            intersection_predictor: false,
             predict: PredictPolicy::Off,
             predictor_entries: 1024,
             compaction: false,

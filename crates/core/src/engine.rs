@@ -34,9 +34,8 @@ pub enum ConfigError {
     /// Ray reordering is enabled but the counting sort has no buckets
     /// (`reorder != Off` with `reorder_buckets == 0`).
     ZeroReorderBuckets,
-    /// A predictor is enabled but its table has no entries
-    /// (`intersection_predictor` or `predict != Off` with
-    /// `predictor_entries == 0`).
+    /// Ray-path prediction is enabled but its table has no entries
+    /// (`predict != Off` with `predictor_entries == 0`).
     ZeroPredictorEntries,
     /// A spatial-query shader was requested on a scene without a
     /// matching query domain: `knn`/`rad` need
@@ -261,8 +260,8 @@ pub struct FrameResult {
     pub slowest_warp_cycles: u64,
     /// DRAM channel utilization over the frame (§7.4).
     pub dram_utilization: f64,
-    /// Predictor counters — intersection-predictor and ray-path
-    /// families merged across SMs (all zero when both are disabled).
+    /// Ray-path predictor counters, summed across SMs (all zero under
+    /// [`PredictPolicy::Off`]).
     pub predictor: PredictorStats,
     /// Latency of every retired `trace_ray` instruction (the raw data
     /// behind Figs. 11 and 14).
@@ -557,15 +556,13 @@ fn validate_frame(width: usize, height: usize) -> Result<(), ConfigError> {
 }
 
 /// Rejects inconsistent reorder/predictor configuration with a typed
-/// error, so `Predictor::new`'s zero-size panic never fires on
+/// error, so `RayPathPredictor::new`'s zero-size panic never fires on
 /// caller-controlled input.
 fn validate_config(cfg: &GpuConfig) -> Result<(), ConfigError> {
     if cfg.reorder != ReorderPolicy::Off && cfg.reorder_buckets == 0 {
         return Err(ConfigError::ZeroReorderBuckets);
     }
-    if (cfg.intersection_predictor || cfg.predict != PredictPolicy::Off)
-        && cfg.predictor_entries == 0
-    {
+    if cfg.predict != PredictPolicy::Off && cfg.predictor_entries == 0 {
         return Err(ConfigError::ZeroPredictorEntries);
     }
     Ok(())
@@ -1840,53 +1837,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_predictor_is_functionally_neutral() {
-        // Predicted primitives are *verified* by a real intersection
-        // test, so results never change — for closest-hit the seed is a
-        // true hit; for any-hit any verified hit is a valid answer.
-        for kind in [
-            ShaderKind::PathTrace,
-            ShaderKind::AmbientOcclusion,
-            ShaderKind::Shadow,
-        ] {
-            let scene = SceneId::Bath.build(2);
-            let plain = GpuConfig::small(2);
-            let mut pred = GpuConfig::small(2);
-            pred.intersection_predictor = true;
-            let a = Simulation::new(&scene, &plain, TraversalPolicy::Baseline)
-                .run_frame(kind, 8, 8)
-                .unwrap();
-            let b = Simulation::new(&scene, &pred, TraversalPolicy::Baseline)
-                .run_frame(kind, 8, 8)
-                .unwrap();
-            assert_eq!(a.image, b.image, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn intersection_predictor_helps_coherent_shadow_rays() {
-        // AO/SH secondary rays are localized and coherent — the
-        // predictor's home turf (§8.2). It must cut traversal work.
-        let scene = SceneId::Bath.build(6);
-        let plain = GpuConfig::small(2);
-        let mut pred = GpuConfig::small(2);
-        pred.intersection_predictor = true;
-        let a = Simulation::new(&scene, &plain, TraversalPolicy::Baseline)
-            .run_frame(ShaderKind::AmbientOcclusion, 16, 16)
-            .unwrap();
-        let b = Simulation::new(&scene, &pred, TraversalPolicy::Baseline)
-            .run_frame(ShaderKind::AmbientOcclusion, 16, 16)
-            .unwrap();
-        assert_eq!(a.image, b.image);
-        assert!(
-            b.events.box_tests < a.events.box_tests,
-            "verified predictions skip traversals: {} vs {} box tests",
-            b.events.box_tests,
-            a.events.box_tests
-        );
-    }
-
-    #[test]
     fn ray_path_predictor_is_functionally_neutral() {
         // Ray-path prediction redirects any-hit traversals to a
         // predicted entry node; the go-up-level fallback restores
@@ -1947,14 +1897,13 @@ mod tests {
     }
 
     #[test]
-    fn ray_path_predictor_composes_with_reorder_and_intersection() {
-        // All three front-end/RT-unit speculation axes at once must
-        // still render the reference image.
+    fn ray_path_predictor_composes_with_reorder() {
+        // Both front-end/RT-unit speculation axes at once must still
+        // render the reference image.
         let scene = SceneId::Fox.build(3);
-        let mut stacked = GpuConfig::small(2)
+        let stacked = GpuConfig::small(2)
             .with_predict(PredictPolicy::RayPath)
             .with_reorder(crate::ReorderPolicy::Morton);
-        stacked.intersection_predictor = true;
         let a = Simulation::new(&scene, &GpuConfig::small(2), TraversalPolicy::CoopRt)
             .run_frame(ShaderKind::Shadow, 12, 12)
             .unwrap();
@@ -1970,8 +1919,8 @@ mod tests {
         // so each hit ties at identical t between two primitive indices
         // and the traversal-order-independent accept filter (lowest
         // index wins at equal t) decides every pixel. Speculation —
-        // which changes visit order and seeds min_thit — must not be
-        // able to flip the winner.
+        // which changes where traversal starts — must not be able to
+        // flip the winner.
         use cooprt_math::{Aabb, Rgb, Vec3};
         use cooprt_scenes::{Camera, Material, SceneBuilder};
         let cam = Camera::look_at(Vec3::new(0.0, 2.0, 12.0), Vec3::ZERO, Vec3::Y, 60.0, 1.0);
@@ -1993,8 +1942,7 @@ mod tests {
             .build();
         for kind in [ShaderKind::PathTrace, ShaderKind::Shadow] {
             let plain = GpuConfig::small(2);
-            let mut spec = GpuConfig::small(2).with_predict(PredictPolicy::RayPath);
-            spec.intersection_predictor = true;
+            let spec = GpuConfig::small(2).with_predict(PredictPolicy::RayPath);
             let a = Simulation::new(&scene, &plain, TraversalPolicy::CoopRt)
                 .run_frame(kind, 10, 10)
                 .unwrap();
@@ -2008,8 +1956,7 @@ mod tests {
     #[test]
     fn zero_predictor_entries_rejected() {
         let scene = SceneId::Wknd.build(1);
-        let mut cfg = GpuConfig::small(1);
-        cfg.intersection_predictor = true;
+        let mut cfg = GpuConfig::small(1).with_predict(PredictPolicy::RayPath);
         cfg.predictor_entries = 0;
         let sim = Simulation::new(&scene, &cfg, TraversalPolicy::Baseline);
         assert_eq!(
@@ -2021,16 +1968,7 @@ mod tests {
                 .unwrap_err(),
             ConfigError::ZeroPredictorEntries
         );
-        // The ray-path axis guards the same knob.
-        let mut path = GpuConfig::small(1).with_predict(PredictPolicy::RayPath);
-        path.predictor_entries = 0;
-        assert_eq!(
-            Simulation::new(&scene, &path, TraversalPolicy::Baseline)
-                .run_frame(ShaderKind::PathTrace, 8, 8)
-                .unwrap_err(),
-            ConfigError::ZeroPredictorEntries
-        );
-        // With both predictors off the knob is ignored.
+        // With the predictor off the knob is ignored.
         let mut off = GpuConfig::small(1);
         off.predictor_entries = 0;
         assert!(Simulation::new(&scene, &off, TraversalPolicy::Baseline)

@@ -74,9 +74,7 @@ pub use engine::{
 };
 pub use latency::TraceLatencies;
 pub use metrics::{FrameMetrics, LatencySummary, MetricsReport, METRICS_SCHEMA_VERSION};
-pub use predictor::{
-    PredictPolicy, Predictor, PredictorStats, RayPathPredictor, PREDICT_ENTRY_LIFT,
-};
+pub use predictor::{PredictPolicy, PredictorStats, RayPathPredictor, PREDICT_ENTRY_LIFT};
 pub use reorder::{ReorderPolicy, ReorderStats, DEFAULT_REORDER_BUCKETS};
 pub use rtunit::{RayHit, RtUnit, StatusCounts, TraceQuery, TraceResult};
 pub use shader::{ShaderKind, ShaderThread, PROBE_T_MAX};

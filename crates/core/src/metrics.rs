@@ -4,7 +4,7 @@
 //! Each subsystem already keeps its own counters — [`MemStats`] for the
 //! cache/DRAM hierarchy, [`EnergyEvents`]/[`EnergyReport`] for the power
 //! model, [`StallBreakdown`] and [`TraceLatencies`] in the engine,
-//! [`PredictorStats`] for the node predictor. This module snapshots all
+//! [`PredictorStats`] for the ray-path predictor. This module snapshots all
 //! of them from a [`FrameResult`] into a single hierarchical
 //! [`MetricsReport`], serialized to a versioned JSON document through
 //! the shared [`JsonWriter`] (the same writer the bench harness uses).
@@ -36,7 +36,9 @@ use cooprt_telemetry::{JsonWriter, Profiler};
 /// v2 added `simt_efficiency` and the `reorder` counter object.
 /// v3 added the ray-path family (`stale`, `path_*`,
 /// `node_fetches_saved`) to the `predictor` object.
-pub const METRICS_SCHEMA_VERSION: u32 = 3;
+/// v4 removed the intersection predictor's `lookups`, `candidates`,
+/// `stale`, `verified` and `updates` from the `predictor` object.
+pub const METRICS_SCHEMA_VERSION: u32 = 4;
 
 /// Latency-distribution summary of the per-`trace_ray` samples.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -94,7 +96,7 @@ pub struct FrameMetrics {
     pub energy: EnergyReport,
     /// Warp-issue stall breakdown.
     pub stalls: StallBreakdown,
-    /// Node-predictor counters.
+    /// Ray-path predictor counters.
     pub predictor: PredictorStats,
     /// Per-`trace_ray` latency distribution summary.
     pub latency: LatencySummary,
@@ -262,11 +264,6 @@ fn write_frame(w: &mut JsonWriter, f: &FrameMetrics) {
     w.end_object();
 
     w.begin_inline_object_field("predictor");
-    w.field_u64("lookups", f.predictor.lookups);
-    w.field_u64("candidates", f.predictor.candidates);
-    w.field_u64("stale", f.predictor.stale);
-    w.field_u64("verified", f.predictor.verified);
-    w.field_u64("updates", f.predictor.updates);
     w.field_u64("path_lookups", f.predictor.path_lookups);
     w.field_u64("path_candidates", f.predictor.path_candidates);
     w.field_u64("path_stale", f.predictor.path_stale);
@@ -368,11 +365,6 @@ mod tests {
         );
         let pred = fr.get("predictor").unwrap();
         for key in [
-            "lookups",
-            "candidates",
-            "stale",
-            "verified",
-            "updates",
             "path_lookups",
             "path_candidates",
             "path_stale",

@@ -1,16 +1,8 @@
-//! Speculative ray prediction: the §8.2 intersection predictor (Liu et
-//! al., MICRO'21) and the hash-based **ray-path predictor** (Demoullin
-//! et al., "Hash-Based Ray Path Prediction") — two per-SM hardware
-//! tables keyed by a quantized ray signature.
+//! Hash-based **ray-path prediction** (Demoullin et al., "Hash-Based
+//! Ray Path Prediction"): a per-SM hardware table keyed by a quantized
+//! ray signature that maps the signature to a BVH **entry node**.
 //!
-//! The *intersection* predictor maps the signature to the last hit
-//! **primitive**: coherent rays (AO/shadow rays from neighbouring
-//! pixels) hash to the same entry and re-test the same triangle,
-//! skipping whole traversals for any-hit queries and priming `min_thit`
-//! for closest-hit queries.
-//!
-//! The *ray-path* predictor maps the signature to a BVH **entry node**:
-//! an any-hit traversal starts at the predicted node instead of the
+//! An any-hit traversal starts at the predicted node instead of the
 //! root, and on a subtree miss walks **up one parent level at a time**
 //! (go-up-level fallback, via the parent table in
 //! [`cooprt_bvh::BvhImage`]) until the root is reached — so the
@@ -18,10 +10,9 @@
 //! every ancestor fetch above the entry node. Selected by
 //! [`PredictPolicy`], the fourth axis of the evaluation matrix.
 //!
-//! Neither table may ever change a rendered image: predictions are
-//! verified (intersection) or backstopped by the root walk-up
-//! (ray-path). `cooprt-check`'s `predictcheck` oracle and the engine's
-//! neutrality tests pin that.
+//! The table may never change a rendered image: the root walk-up
+//! backstops every prediction. `cooprt-check`'s `predictcheck` oracle
+//! and the engine's neutrality tests pin that.
 
 use cooprt_bvh::BvhImage;
 use cooprt_math::Ray;
@@ -63,23 +54,9 @@ impl PredictPolicy {
     pub const ALL: [PredictPolicy; 2] = [PredictPolicy::Off, PredictPolicy::RayPath];
 }
 
-/// Counters of predictor behaviour (both tables).
+/// Counters of ray-path predictor behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PredictorStats {
-    /// Intersection-table lookups performed.
-    pub lookups: u64,
-    /// Lookups that returned an in-bounds candidate primitive.
-    pub candidates: u64,
-    /// Lookups whose tag matched but whose stored primitive index is
-    /// out of bounds for the current scene (a stale entry, e.g. after
-    /// the table outlived a scene swap). Stale candidates are dropped
-    /// before verification and never counted in
-    /// [`PredictorStats::candidates`].
-    pub stale: u64,
-    /// Candidates whose re-test actually hit (useful predictions).
-    pub verified: u64,
-    /// Intersection-table updates.
-    pub updates: u64,
     /// Ray-path-table lookups performed.
     pub path_lookups: u64,
     /// Lookups that returned a valid predicted entry node.
@@ -106,11 +83,6 @@ impl PredictorStats {
     /// Accumulates another counter set into this one (per-SM tables are
     /// summed into the frame report).
     pub fn add(&mut self, other: &PredictorStats) {
-        self.lookups += other.lookups;
-        self.candidates += other.candidates;
-        self.stale += other.stale;
-        self.verified += other.verified;
-        self.updates += other.updates;
         self.path_lookups += other.path_lookups;
         self.path_candidates += other.path_candidates;
         self.path_stale += other.path_stale;
@@ -124,8 +96,7 @@ impl PredictorStats {
 /// Signature hash of a ray: origin quantized to 4-unit cells, direction
 /// to its octant — deliberately coarse, so the localized secondary rays
 /// of AO/SH shaders collide and reuse predictions. False candidates are
-/// filtered by verification (intersection table) or by the go-up
-/// fallback (ray-path table).
+/// caught by the go-up fallback.
 fn signature(ray: &Ray) -> u64 {
     let qo = |v: f32| ((v / 4.0).floor() as i64 as u64) & 0xFFFF;
     let qd = |v: f32| u64::from(v >= 0.0);
@@ -145,74 +116,6 @@ fn signature(ray: &Ray) -> u64 {
 fn slot_and_tag(ray: &Ray, len: usize) -> (usize, u32) {
     let h = signature(ray);
     ((h % len as u64) as usize, (h >> 32) as u32)
-}
-
-/// A direct-mapped prediction table: quantized ray signature → last hit
-/// triangle.
-#[derive(Clone, Debug)]
-pub struct Predictor {
-    entries: Vec<Option<(u32, u32)>>, // (tag, triangle)
-    stats: PredictorStats,
-}
-
-impl Predictor {
-    /// Creates a table with `entries` direct-mapped slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries == 0`. Simulation entry points reject that
-    /// configuration with a typed
-    /// [`ConfigError::ZeroPredictorEntries`](crate::ConfigError) before
-    /// any table is built, so this is a backstop for direct users.
-    pub fn new(entries: usize) -> Self {
-        assert!(entries > 0, "predictor needs at least one entry");
-        Predictor {
-            entries: vec![None; entries],
-            stats: PredictorStats::default(),
-        }
-    }
-
-    /// Looks up a candidate primitive for `ray`.
-    ///
-    /// `max_triangles` bounds the table by the current scene: a tag
-    /// match whose stored index is `>= max_triangles` is a stale entry
-    /// (dropped and counted in [`PredictorStats::stale`], not in
-    /// [`PredictorStats::candidates`]), so the candidates/verified
-    /// ratio in the metrics report stays honest.
-    pub fn predict(&mut self, ray: &Ray, max_triangles: usize) -> Option<u32> {
-        self.stats.lookups += 1;
-        let (slot, tag) = slot_and_tag(ray, self.entries.len());
-        match self.entries[slot] {
-            Some((t, tri)) if t == tag => {
-                if (tri as usize) >= max_triangles {
-                    self.stats.stale += 1;
-                    self.entries[slot] = None;
-                    None
-                } else {
-                    self.stats.candidates += 1;
-                    Some(tri)
-                }
-            }
-            _ => None,
-        }
-    }
-
-    /// Records that `ray` hit `triangle`.
-    pub fn update(&mut self, ray: &Ray, triangle: u32) {
-        self.stats.updates += 1;
-        let (slot, tag) = slot_and_tag(ray, self.entries.len());
-        self.entries[slot] = Some((tag, triangle));
-    }
-
-    /// Records that a prediction was verified by the re-test.
-    pub fn record_verified(&mut self) {
-        self.stats.verified += 1;
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> PredictorStats {
-        self.stats
-    }
 }
 
 /// How many parent levels above the accepted hit leaf the recorded
@@ -365,70 +268,26 @@ mod tests {
         Ray::new(o, d)
     }
 
-    /// Effectively unbounded scene for tests that only exercise the
-    /// signature/table mechanics.
-    const MANY: usize = usize::MAX;
-
-    #[test]
-    fn empty_table_predicts_nothing() {
-        let mut p = Predictor::new(64);
-        assert_eq!(p.predict(&ray(Vec3::ZERO, Vec3::Z), MANY), None);
-        assert_eq!(p.stats().lookups, 1);
-        assert_eq!(p.stats().candidates, 0);
-    }
-
-    #[test]
-    fn update_then_predict_roundtrips() {
-        let mut p = Predictor::new(64);
-        let r = ray(Vec3::new(5.0, 1.0, -3.0), Vec3::new(0.2, -0.9, 0.1));
-        p.update(&r, 42);
-        assert_eq!(p.predict(&r, MANY), Some(42));
-    }
-
-    #[test]
-    fn stale_candidates_are_dropped_and_counted() {
-        // A shrinking-scene sequence: the table learned triangle 42 from
-        // a larger scene, then the scene shrank to 10 triangles. The
-        // lookup must not report a candidate (the index is meaningless
-        // now) and must record the staleness instead.
-        let mut p = Predictor::new(64);
-        let r = ray(Vec3::new(5.0, 1.0, -3.0), Vec3::new(0.2, -0.9, 0.1));
-        p.update(&r, 42);
-        assert_eq!(p.predict(&r, 10), None);
-        assert_eq!(p.stats().stale, 1);
-        assert_eq!(p.stats().candidates, 0, "stale lookups are not candidates");
-        // The stale entry was evicted: the next lookup is a plain miss.
-        assert_eq!(p.predict(&r, 10), None);
-        assert_eq!(p.stats().stale, 1);
-        // Re-learning under the new scene works as usual.
-        p.update(&r, 3);
-        assert_eq!(p.predict(&r, 10), Some(3));
-        assert_eq!(p.stats().candidates, 1);
-    }
-
     #[test]
     fn coherent_rays_share_an_entry() {
         // Two rays from nearby origins with nearly equal directions
         // quantize identically.
-        let mut p = Predictor::new(256);
         let a = ray(Vec3::new(10.0, 4.0, 2.0), Vec3::new(0.3, 0.8, 0.5));
         let b = ray(Vec3::new(10.3, 4.2, 2.1), Vec3::new(0.1, 0.9, 0.4));
-        p.update(&a, 7);
         assert_eq!(
-            p.predict(&b, MANY),
-            Some(7),
+            slot_and_tag(&a, 256),
+            slot_and_tag(&b, 256),
             "coherent neighbour should reuse the prediction"
         );
     }
 
     #[test]
     fn divergent_rays_do_not_collide_usually() {
-        let mut p = Predictor::new(1024);
-        p.update(&ray(Vec3::ZERO, Vec3::Z), 1);
+        let first = slot_and_tag(&ray(Vec3::ZERO, Vec3::Z), 1024);
         let mut misses = 0;
         for i in 0..20 {
             let d = Vec3::new((i as f32 * 0.7).sin(), 0.4, (i as f32 * 1.3).cos());
-            if p.predict(&ray(Vec3::new(50.0 + 4.0 * i as f32, 0.0, 9.0), d), MANY) != Some(1) {
+            if slot_and_tag(&ray(Vec3::new(50.0 + 4.0 * i as f32, 0.0, 9.0), d), 1024) != first {
                 misses += 1;
             }
         }
@@ -436,22 +295,6 @@ mod tests {
             misses >= 18,
             "unrelated rays should rarely alias, got {misses} misses"
         );
-    }
-
-    #[test]
-    fn new_update_overwrites_old() {
-        let mut p = Predictor::new(16);
-        let r = ray(Vec3::new(1.0, 1.0, 1.0), Vec3::X);
-        p.update(&r, 3);
-        p.update(&r, 9);
-        assert_eq!(p.predict(&r, MANY), Some(9));
-        assert_eq!(p.stats().updates, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one entry")]
-    fn zero_entries_rejected() {
-        let _ = Predictor::new(0);
     }
 
     #[test]
@@ -559,6 +402,46 @@ mod tests {
     }
 
     #[test]
+    fn empty_path_table_predicts_nothing() {
+        let scene = tiny_scene();
+        let mut p = RayPathPredictor::new(64);
+        let r = ray(Vec3::ZERO, Vec3::Z);
+        assert_eq!(p.predict(&r, &scene.image), None);
+        assert_eq!(p.stats().path_lookups, 1, "a miss still counts the lookup");
+        assert_eq!(p.stats().path_candidates, 0);
+    }
+
+    #[test]
+    fn a_changed_entry_node_replaces_the_old_one_at_base_confidence() {
+        let scene = tiny_scene();
+        let image = &scene.image;
+        let mut p = RayPathPredictor::new(128);
+        let r = ray(Vec3::new(0.0, 2.0, 12.0), Vec3::new(0.0, -0.1, -1.0));
+        // Saturate the confidence of a root entry.
+        for _ in 0..4 {
+            p.update(&r, image.root_addr(), image);
+        }
+        // A leaf deep enough that its lifted entry is not the root.
+        let leaf = image
+            .iter()
+            .filter(|n| matches!(n.kind, cooprt_bvh::NodeKind::Leaf { .. }))
+            .find(|n| image.depth_of(n.addr).unwrap() > PREDICT_ENTRY_LIFT)
+            .expect("scene has deep leaves")
+            .addr;
+        p.update(&r, leaf, image);
+        let entry = p.predict(&r, image).expect("the new entry predicts");
+        assert_ne!(entry, image.root_addr(), "the old entry was replaced");
+        assert_eq!(
+            image.depth_of(entry).unwrap(),
+            image.depth_of(leaf).unwrap() - PREDICT_ENTRY_LIFT
+        );
+        // The replacement restarted at `PREDICT_CONFIDENT` instead of
+        // inheriting the saturated count, so one mispredict silences it.
+        p.record_mispredict(&r);
+        assert_eq!(p.predict(&r, image), None);
+    }
+
+    #[test]
     fn mispredicted_entries_go_quiet_until_retrained() {
         let scene = tiny_scene();
         let image = &scene.image;
@@ -623,36 +506,26 @@ mod tests {
     #[test]
     fn stats_add_accumulates_every_field() {
         let mut a = PredictorStats {
-            lookups: 1,
-            candidates: 2,
-            stale: 3,
-            verified: 4,
-            updates: 5,
-            path_lookups: 6,
-            path_candidates: 7,
-            path_stale: 8,
-            path_updates: 9,
-            path_entry_hits: 10,
-            path_go_up_steps: 11,
-            node_fetches_saved: 12,
+            path_lookups: 1,
+            path_candidates: 2,
+            path_stale: 3,
+            path_updates: 4,
+            path_entry_hits: 5,
+            path_go_up_steps: 6,
+            node_fetches_saved: 7,
         };
         let b = a;
         a.add(&b);
         assert_eq!(
             a,
             PredictorStats {
-                lookups: 2,
-                candidates: 4,
-                stale: 6,
-                verified: 8,
-                updates: 10,
-                path_lookups: 12,
-                path_candidates: 14,
-                path_stale: 16,
-                path_updates: 18,
-                path_entry_hits: 20,
-                path_go_up_steps: 22,
-                node_fetches_saved: 24,
+                path_lookups: 2,
+                path_candidates: 4,
+                path_stale: 6,
+                path_updates: 8,
+                path_entry_hits: 10,
+                path_go_up_steps: 12,
+                node_fetches_saved: 14,
             }
         );
     }

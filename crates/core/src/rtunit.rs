@@ -23,7 +23,7 @@ use crate::config::{
     GpuConfig, StealPosition, SubwarpMode, TraversalOrder, TraversalPolicy, WARP_SIZE,
 };
 use crate::lbu::{find_pairs, LbuPair};
-use crate::predictor::{PredictPolicy, Predictor, PredictorStats, RayPathPredictor};
+use crate::predictor::{PredictPolicy, PredictorStats, RayPathPredictor};
 use cooprt_bvh::NodeKind;
 use cooprt_gpu::{EnergyEvents, EventCalendar, MemoryHierarchy};
 use cooprt_math::Ray;
@@ -316,8 +316,6 @@ pub struct RtUnit {
     /// Round-robin cursor of the subwarp scheduler
     /// ([`SubwarpMode::OneGroup`]).
     group_rr: usize,
-    /// Intersection-prediction table, when enabled.
-    predictor: Option<Predictor>,
     /// Ray-path prediction table ([`PredictPolicy::RayPath`]), when
     /// enabled.
     path_predictor: Option<RayPathPredictor>,
@@ -336,7 +334,7 @@ pub struct RtUnit {
 
 impl RtUnit {
     /// Creates an RT unit with `warp_buffer_size` warp-buffer entries
-    /// traversing under `policy` (no intersection predictor).
+    /// traversing under `policy` (no ray-path predictor).
     pub fn new(sm_id: usize, warp_buffer_size: usize, policy: TraversalPolicy) -> Self {
         assert!(warp_buffer_size > 0, "warp buffer needs at least one entry");
         RtUnit {
@@ -346,7 +344,6 @@ impl RtUnit {
             responses: EventCalendar::new(),
             rr: 0,
             group_rr: 0,
-            predictor: None,
             path_predictor: None,
             thread_pool: Vec::new(),
             events: EnergyEvents::default(),
@@ -355,40 +352,25 @@ impl RtUnit {
     }
 
     /// Creates an RT unit configured per `cfg` (warp-buffer size and
-    /// the optional intersection / ray-path prediction tables),
-    /// traversing under `policy`.
+    /// the optional ray-path prediction table), traversing under
+    /// `policy`.
     ///
-    /// `cfg.predictor_entries == 0` with a predictor enabled is
+    /// `cfg.predictor_entries == 0` with the predictor enabled is
     /// rejected by the simulation entry points with a typed
     /// [`ConfigError::ZeroPredictorEntries`](crate::ConfigError), so
-    /// the table constructors' zero-size panic is unreachable from the
+    /// the table constructor's zero-size panic is unreachable from the
     /// engine.
     pub fn for_config(sm_id: usize, cfg: &GpuConfig, policy: TraversalPolicy) -> Self {
         let mut unit = Self::new(sm_id, cfg.warp_buffer_size, policy);
-        if cfg.intersection_predictor {
-            unit.predictor = Some(Predictor::new(cfg.predictor_entries));
-        }
         if cfg.predict == PredictPolicy::RayPath {
             unit.path_predictor = Some(RayPathPredictor::new(cfg.predictor_entries));
         }
         unit
     }
 
-    /// Prediction-table counters, when either table is enabled (both
-    /// tables report into one [`PredictorStats`]; their counter
-    /// families are disjoint).
+    /// Ray-path prediction-table counters, when the table is enabled.
     pub fn predictor_stats(&self) -> Option<PredictorStats> {
-        if self.predictor.is_none() && self.path_predictor.is_none() {
-            return None;
-        }
-        let mut stats = PredictorStats::default();
-        if let Some(p) = &self.predictor {
-            stats.add(&p.stats());
-        }
-        if let Some(p) = &self.path_predictor {
-            stats.add(&p.stats());
-        }
-        Some(stats)
+        self.path_predictor.as_ref().map(RayPathPredictor::stats)
     }
 
     /// True if a warp-buffer entry is free.
@@ -444,37 +426,7 @@ impl RtUnit {
             predict_live: 0,
         };
         let image = &scene.image;
-        // Intersection prediction (§8.2): re-test the last primitive a
-        // similar ray hit. A verified hit answers any-hit queries
-        // outright and seeds min_thit for closest-hit queries. The
-        // table is bounded by the scene's triangle count, so stale
-        // entries never reach the verification test. Gather queries
-        // must enumerate every containing leaf, so a predicted single
-        // hit is meaningless for them and the table is bypassed.
-        if let Some(pred) = self.predictor.as_mut().filter(|_| !query.gather) {
-            for i in 0..WARP_SIZE {
-                let Some(ray) = &slot.rays[i] else { continue };
-                let Some(tri) = pred.predict(ray, image.triangles().len()) else {
-                    continue;
-                };
-                self.events.triangle_tests += 1;
-                if let Some(h) = image.triangle(tri).intersect(ray, slot.min_thit[i]) {
-                    pred.record_verified();
-                    slot.min_thit[i] = h.t;
-                    slot.best[i] = Some(RayHit {
-                        triangle: tri,
-                        t: h.t,
-                    });
-                    if slot.any_hit {
-                        slot.done_ray[i] = true; // skip the traversal entirely
-                    }
-                }
-            }
-        }
         for i in 0..WARP_SIZE {
-            if slot.done_ray[i] {
-                continue;
-            }
             if let Some(ray) = &slot.rays[i] {
                 self.events.box_tests += 1;
                 // Gather mode descends by point containment instead of
@@ -950,9 +902,6 @@ impl RtUnit {
                             triangle: *triangle,
                             t: h.t,
                         });
-                        if let Some(pred) = self.predictor.as_mut() {
-                            pred.update(&ray, *triangle);
-                        }
                         if slot.any_hit {
                             // Ray-path table learns from the accepted
                             // occluder: future similar rays enter the

@@ -7,11 +7,11 @@
 //! image-identical to live simulation under both policies), and the
 //! ray-reordering differential (every reorder policy renders the
 //! unordered image bitwise; sort keys are reproducible at any worker
-//! count), and the predictor differential (intersection and ray-path
-//! prediction — alone and stacked — render the speculation-free image
-//! bitwise with honest stats counters), and the spatial-query
-//! differential (kNN / radius / containment answers through the timing
-//! model must equal a brute-force scan of the raw domain exactly).
+//! count), and the predictor differential (ray-path prediction renders
+//! the speculation-free image bitwise with honest stats counters), and
+//! the spatial-query differential (kNN / radius / containment answers
+//! through the timing model must equal a brute-force scan of the raw
+//! domain exactly).
 //!
 //! ```sh
 //! # CI smoke: 64 consecutive seeds starting at 0.
@@ -147,8 +147,8 @@ fn parse_args() -> Args {
                      --trace-seeds N   fuzz trace record/replay with N seeds (default 0)\n\
                      --reorder-seed N  replay one ray-reordering seed\n\
                      --reorder-seeds N fuzz ray reordering with N seeds (default 0)\n\
-                     --predict-seed N  replay one predictor seed\n\
-                     --predict-seeds N fuzz the predictors with N seeds (default 0)\n\
+                     --predict-seed N  replay one ray-path predictor seed\n\
+                     --predict-seeds N fuzz the ray-path predictor with N seeds (default 0)\n\
                      --query-seed N    replay one spatial-query seed\n\
                      --query-seeds N   fuzz spatial queries with N seeds (default 0)"
                 );
