@@ -23,8 +23,8 @@ use cooprt_core::area::{
     added_field_bits, cooprt_area, overhead_fraction, warp_buffer_bits, FLIP_FLOP_AREA_UM2,
 };
 use cooprt_core::{
-    ActivitySample, FrameResult, GpuConfig, PredictPolicy, ReorderPolicy, ShaderKind, Simulation,
-    StealPosition, TimelineSample, TraversalOrder, TraversalPolicy, WarpTiling, WARP_SIZE,
+    FrameResult, GpuConfig, PredictPolicy, ReorderPolicy, ShaderKind, Simulation, StealPosition,
+    TimelineSample, TraversalOrder, TraversalPolicy, WarpTiling, WARP_SIZE,
 };
 use cooprt_query::oracle_answers;
 use cooprt_scenes::{Scene, SceneId, PAPER_FIG17_SCENES, QUERY_SCENES};
@@ -511,14 +511,6 @@ fn fig01(k: &Knobs, p: &mut Plan) -> Finish {
     })
 }
 
-fn busy_fraction(s: &ActivitySample) -> f64 {
-    if s.present() == 0 {
-        0.0
-    } else {
-        s.busy as f64 / s.present() as f64
-    }
-}
-
 fn fig02(k: &Knobs, p: &mut Plan) -> Finish {
     let scenes = [SceneId::Spnza, SceneId::Bath];
     let cells = p.per_scene(&scenes, k.frame(k.res), &[(rtx(), Baseline, PT)]);
@@ -531,7 +523,7 @@ fn fig02(k: &Knobs, p: &mut Plan) -> Finish {
         let mut t = Table::with("scene", columns);
         for (id, c) in &cells.0 {
             let (r, lines) = (&m[c[0]], &mut t.lines);
-            let samples = &r.activity.samples;
+            let samples = &r.intervals.samples;
             lines.push(String::new());
             lines.push(format!(
                 "{id}: {} samples over {} cycles",
@@ -541,11 +533,11 @@ fn fig02(k: &Knobs, p: &mut Plan) -> Finish {
             lines.push(format!("{:>10} {:>10} {:>8}", "cycle", "busy%", "bar"));
             // Downsample to at most 40 printed rows.
             for s in samples.iter().step_by((samples.len() / 40).max(1)) {
-                let frac = busy_fraction(s);
+                let frac = s.busy_fraction();
                 let bar = "#".repeat((frac * 40.0).round() as usize);
                 lines.push(format!("{:>10} {:>9.1}% {bar}", s.cycle, frac * 100.0));
             }
-            let first = samples.first().map_or(0.0, busy_fraction);
+            let first = samples.first().map_or(0.0, |s| s.busy_fraction());
             lines.push(format!(
                 "start-of-frame busy fraction: {first:.2} (paper: ~1.0, then a steep drop)"
             ));
@@ -560,7 +552,7 @@ fn fig02(k: &Knobs, p: &mut Plan) -> Finish {
 
 fn fig04(k: &Knobs, p: &mut Plan) -> Finish {
     let cells = p.per_scene(&k.scenes, k.frame(k.res), &[(rtx(), Baseline, PT)]);
-    let row: RowFn = |f| f[0].activity.status_distribution().to_vec();
+    let row: RowFn = |f| f[0].intervals.status_distribution().to_vec();
     cells.finish(&["busy", "waiting", "inactive"], row, 0, |t| {
         let wasted: Vec<f64> = t.rows.iter().map(|(_, d)| d[1] + d[2]).collect();
         let wasted = mean(&wasted);
@@ -583,7 +575,7 @@ fn fig09(k: &Knobs, p: &mut Plan) -> Finish {
 fn fig10(k: &Knobs, p: &mut Plan) -> Finish {
     let cells = p.per_scene(&k.scenes, k.frame(k.res), &twin(&rtx(), PT));
     let row: RowFn = |f| {
-        let [b, c] = [f[0], f[1]].map(|r| r.activity.avg_utilization());
+        let [b, c] = [f[0], f[1]].map(|r| r.intervals.avg_utilization());
         vec![b, c, c - b, speedup(f[0], f[1])]
     };
     cells.finish(&["baseline", "cooprt", "delta", "speedup"], row, 0, |t| {

@@ -206,7 +206,7 @@ pub struct GpuConfig {
     /// than the current `min_thit` (Algorithm 1 line 8). Disabling this
     /// (`ablation_no_elimination`) quantifies how much pruning saves.
     pub node_elimination: bool,
-    /// Thread-activity sampling interval, cycles (the paper samples
+    /// Interval-sampling period, cycles (the paper samples
     /// AerialVision stats every 500 cycles).
     pub sample_interval: u64,
     /// Power model for energy/EDP reporting.

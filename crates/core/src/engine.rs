@@ -1,5 +1,5 @@
 //! Top-level simulation: SMs, warp dispatch, the cycle loop, and all
-//! measurement plumbing (activity sampling, stall attribution, warp
+//! measurement plumbing (interval sampling, stall attribution, warp
 //! timelines).
 
 use crate::config::{GpuConfig, TraversalPolicy, WARP_SIZE};
@@ -108,77 +108,12 @@ impl StallBreakdown {
     }
 }
 
-/// One activity sample (taken every `sample_interval` cycles, like the
-/// paper's AerialVision stats).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ActivitySample {
-    /// Sample time.
-    pub cycle: u64,
-    /// Threads with non-empty stacks or outstanding fetches.
-    pub busy: usize,
-    /// Active threads that finished early and wait for their warp.
-    pub waiting: usize,
-    /// Threads masked off by SIMT divergence.
-    pub inactive: usize,
-}
-
-impl ActivitySample {
-    /// Threads resident in RT units at this sample.
-    pub fn present(&self) -> usize {
-        self.busy + self.waiting + self.inactive
-    }
-}
-
-/// The sampled activity series of one simulation (Figs. 2, 4, 10).
-#[derive(Clone, Debug, Default)]
-pub struct ActivitySeries {
-    /// Sampling interval in cycles.
-    pub interval: u64,
-    /// Samples in time order.
-    pub samples: Vec<ActivitySample>,
-}
-
-impl ActivitySeries {
-    /// Average RT-unit thread utilization: busy threads over resident
-    /// threads, averaged across samples with any residents (Fig. 10).
-    pub fn avg_utilization(&self) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for s in &self.samples {
-            let present = s.present();
-            if present > 0 {
-                sum += s.busy as f64 / present as f64;
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum / n as f64
-        }
-    }
-
-    /// Aggregate Fig. 4 status distribution: fractions of
-    /// `[busy, waiting, inactive]` over all sampled threads.
-    pub fn status_distribution(&self) -> [f64; 3] {
-        let (mut b, mut w, mut i) = (0u64, 0u64, 0u64);
-        for s in &self.samples {
-            b += s.busy as u64;
-            w += s.waiting as u64;
-            i += s.inactive as u64;
-        }
-        let t = (b + w + i) as f64;
-        if t == 0.0 {
-            return [0.0; 3];
-        }
-        [b as f64 / t, w as f64 / t, i as f64 / t]
-    }
-}
-
-/// One interval sample of machine-wide counters (AerialVision-style
-/// time series). All counter fields are **cumulative** totals at
-/// `cycle`; per-interval rates (e.g. miss rate over the last window)
-/// are differences between consecutive samples.
+/// One interval sample (taken every `sample_interval` cycles, like the
+/// paper's AerialVision stats): the RT-unit thread-status mix at
+/// `cycle` plus machine-wide counters. All counter fields are
+/// **cumulative** totals at `cycle`; per-interval rates (e.g. miss
+/// rate over the last window) are differences between consecutive
+/// samples.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IntervalSample {
     /// Sample time.
@@ -205,15 +140,65 @@ pub struct IntervalSample {
     pub dram_busy_cycles: u64,
 }
 
-/// The interval-sampled counter series of one simulation: the data
-/// behind miss-rate / bandwidth / occupancy time-series plots.
+impl IntervalSample {
+    /// Threads resident in RT units at this sample.
+    pub fn present(&self) -> usize {
+        self.busy + self.waiting + self.inactive
+    }
+
+    /// Busy threads over resident threads (0 with none resident): the
+    /// Fig. 2 curve.
+    pub fn busy_fraction(&self) -> f64 {
+        match self.present() {
+            0 => 0.0,
+            present => self.busy as f64 / present as f64,
+        }
+    }
+}
+
+/// The interval-sampled series of one simulation: the data behind the
+/// thread-activity figures (Figs. 2, 4, 10) and the miss-rate /
+/// bandwidth / occupancy time-series plots.
 #[derive(Clone, Debug, Default)]
 pub struct IntervalSeries {
-    /// Sampling interval in cycles (same clock as
-    /// [`ActivitySeries::interval`]).
+    /// Sampling interval in cycles.
     pub interval: u64,
     /// Samples in time order, counters cumulative at each sample.
     pub samples: Vec<IntervalSample>,
+}
+
+impl IntervalSeries {
+    /// Average RT-unit thread utilization: busy threads over resident
+    /// threads, averaged across samples with any residents (Fig. 10).
+    pub fn avg_utilization(&self) -> f64 {
+        let mut sum = 0.0;
+        let mut n = 0usize;
+        for s in self.samples.iter().filter(|s| s.present() > 0) {
+            sum += s.busy_fraction();
+            n += 1;
+        }
+        if n == 0 {
+            0.0
+        } else {
+            sum / n as f64
+        }
+    }
+
+    /// Aggregate Fig. 4 status distribution: fractions of
+    /// `[busy, waiting, inactive]` over all sampled threads.
+    pub fn status_distribution(&self) -> [f64; 3] {
+        let (mut b, mut w, mut i) = (0u64, 0u64, 0u64);
+        for s in &self.samples {
+            b += s.busy as u64;
+            w += s.waiting as u64;
+            i += s.inactive as u64;
+        }
+        let t = (b + w + i) as f64;
+        if t == 0.0 {
+            return [0.0; 3];
+        }
+        [b as f64 / t, w as f64 / t, i as f64 / t]
+    }
 }
 
 /// One timeline sample of a traced warp (Fig. 11): which threads are
@@ -251,10 +236,9 @@ pub struct FrameResult {
     pub energy: EnergyReport,
     /// Per-instruction-class stall cycles (Fig. 1).
     pub stalls: StallBreakdown,
-    /// Thread-activity samples (Figs. 2, 4, 10).
-    pub activity: ActivitySeries,
-    /// Interval-sampled machine counters (cache hit rates, DRAM
-    /// bandwidth, warp-buffer occupancy over time).
+    /// Interval samples: the thread-status mix (Figs. 2, 4, 10) and
+    /// machine counters (cache hit rates, DRAM bandwidth, warp-buffer
+    /// occupancy over time).
     pub intervals: IntervalSeries,
     /// Latency of the slowest warp, cycles (Fig. 14).
     pub slowest_warp_cycles: u64,
@@ -768,7 +752,6 @@ struct Engine<'s> {
     probe: Probe,
     recorder: Recorder,
     stalls: StallBreakdown,
-    activity: ActivitySeries,
     intervals: IntervalSeries,
     timeline_warp: Option<usize>,
     timeline: Vec<TimelineSample>,
@@ -834,10 +817,6 @@ impl<'s> Engine<'s> {
             probe: Probe::new(&sim.tracer, &sim.checker),
             recorder: sim.recorder.clone(),
             stalls: StallBreakdown::default(),
-            activity: ActivitySeries {
-                interval,
-                samples: Vec::new(),
-            },
             intervals: IntervalSeries {
                 interval,
                 samples: Vec::new(),
@@ -967,7 +946,7 @@ impl<'s> Engine<'s> {
 
     fn run(mut self) -> FrameResult {
         let mut now = 0u64;
-        let mut next_sample = self.activity.interval;
+        let mut next_sample = self.intervals.interval;
         if !self.cfg.compaction {
             // One persistent warp per 32 pixels for the whole frame.
             // With reordering on, the tiling order is re-sorted by
@@ -1023,11 +1002,11 @@ impl<'s> Engine<'s> {
             }
             let next = self.next_time(now);
             debug_assert!(next > now);
-            // Take any activity samples that fall inside the skipped
+            // Take any interval samples that fall inside the skipped
             // window — state is constant while no SM acts.
             while *next_sample <= next {
                 self.take_sample(*next_sample);
-                *next_sample += self.activity.interval;
+                *next_sample += self.intervals.interval;
             }
             now = next;
         }
@@ -1275,12 +1254,6 @@ impl<'s> Engine<'s> {
             agg.inactive += s.inactive;
             occupied += sm.rt.occupied();
         }
-        self.activity.samples.push(ActivitySample {
-            cycle,
-            busy: agg.busy,
-            waiting: agg.waiting,
-            inactive: agg.inactive,
-        });
         let mem = self.mem.stats();
         self.intervals.samples.push(IntervalSample {
             cycle,
@@ -1320,7 +1293,7 @@ impl<'s> Engine<'s> {
             self.cfg.mem.core_clock_mhz,
         );
         // Ensure at least one sample exists for short runs.
-        if self.activity.samples.is_empty() {
+        if self.intervals.samples.is_empty() {
             self.take_sample(now);
         }
         self.probe.finish(now);
@@ -1334,7 +1307,6 @@ impl<'s> Engine<'s> {
             events,
             energy,
             stalls: self.stalls,
-            activity: self.activity,
             intervals: self.intervals,
             slowest_warp_cycles: slowest,
             dram_utilization: self.mem.dram_utilization(now),
@@ -1407,10 +1379,59 @@ mod tests {
             .run_frame(ShaderKind::PathTrace, 12, 12)
             .unwrap();
         assert!(
-            coop.activity.avg_utilization() > base.activity.avg_utilization(),
+            coop.intervals.avg_utilization() > base.intervals.avg_utilization(),
             "coop {:.3} vs base {:.3}",
-            coop.activity.avg_utilization(),
-            base.activity.avg_utilization()
+            coop.intervals.avg_utilization(),
+            base.intervals.avg_utilization()
+        );
+    }
+
+    fn status(busy: usize, waiting: usize, inactive: usize) -> IntervalSample {
+        IntervalSample {
+            busy,
+            waiting,
+            inactive,
+            ..IntervalSample::default()
+        }
+    }
+
+    #[test]
+    fn an_empty_interval_series_summarizes_to_zero() {
+        let series = IntervalSeries::default();
+        assert_eq!(series.avg_utilization(), 0.0);
+        assert_eq!(series.status_distribution(), [0.0; 3]);
+    }
+
+    #[test]
+    fn zero_resident_samples_are_skipped_by_the_summaries() {
+        let idle = IntervalSeries {
+            interval: 500,
+            samples: vec![status(0, 0, 0)],
+        };
+        assert_eq!(idle.avg_utilization(), 0.0);
+        assert_eq!(idle.status_distribution(), [0.0; 3]);
+        // Beside a resident sample, the empty one neither halves the
+        // mean nor shifts the distribution.
+        let mixed = IntervalSeries {
+            interval: 500,
+            samples: vec![status(3, 1, 0), status(0, 0, 0)],
+        };
+        assert_eq!(mixed.avg_utilization(), 0.75);
+        assert_eq!(mixed.status_distribution(), [0.75, 0.25, 0.0]);
+    }
+
+    #[test]
+    fn interval_summaries_match_hand_computed_values() {
+        // Busy fractions 2/4, 1/4 and 0/4 average to 0.25; the 12
+        // sampled threads split 3 busy, 5 waiting, 4 inactive.
+        let series = IntervalSeries {
+            interval: 500,
+            samples: vec![status(2, 2, 0), status(1, 1, 2), status(0, 2, 2)],
+        };
+        assert_eq!(series.avg_utilization(), 0.25);
+        assert_eq!(
+            series.status_distribution(),
+            [3.0 / 12.0, 5.0 / 12.0, 4.0 / 12.0]
         );
     }
 

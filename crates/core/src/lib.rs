@@ -18,7 +18,7 @@
 //! - [`shader`] — Listing 1's path-tracing raygen loop plus the §7.3
 //!   AO/SH shaders;
 //! - [`engine`] — SMs, thread-block dispatch, the cycle loop, and every
-//!   measurement the evaluation needs (activity sampling, stall
+//!   measurement the evaluation needs (interval sampling, stall
 //!   breakdown, warp timelines, slowest-warp latency);
 //! - [`reorder`] — ray reordering ahead of warp formation: Morton /
 //!   octant-hash coherence keys and the deterministic bucketed
@@ -69,8 +69,8 @@ pub use config::{
 };
 pub use cooprt_telemetry::Checker;
 pub use engine::{
-    ActivitySample, ActivitySeries, ConfigError, FrameResult, IntervalSample, IntervalSeries,
-    Simulation, StallBreakdown, TimelineSample,
+    ConfigError, FrameResult, IntervalSample, IntervalSeries, Simulation, StallBreakdown,
+    TimelineSample,
 };
 pub use latency::TraceLatencies;
 pub use metrics::{FrameMetrics, LatencySummary, MetricsReport, METRICS_SCHEMA_VERSION};

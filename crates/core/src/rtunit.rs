@@ -94,7 +94,7 @@ pub struct TraceResult {
     pub retired_at: u64,
 }
 
-/// Per-thread status for activity sampling (Fig. 4 categories).
+/// Per-thread status for interval sampling (Fig. 4 categories).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatusCounts {
     /// Threads with a non-empty stack or an outstanding fetch.

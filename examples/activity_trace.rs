@@ -36,8 +36,8 @@ fn main() {
     // CSV dump.
     let mut f = std::io::BufWriter::new(std::fs::File::create(&out_path).expect("create CSV"));
     writeln!(f, "cycle,busy,waiting,inactive,busy_fraction").expect("write header");
-    for s in &frame.activity.samples {
-        let present = s.present().max(1);
+    let series = &frame.intervals;
+    for s in &series.samples {
         writeln!(
             f,
             "{},{},{},{},{:.4}",
@@ -45,25 +45,18 @@ fn main() {
             s.busy,
             s.waiting,
             s.inactive,
-            s.busy as f64 / present as f64
+            s.busy_fraction()
         )
         .expect("write row");
     }
     drop(f);
-    println!(
-        "wrote {} samples to {out_path}",
-        frame.activity.samples.len()
-    );
+    println!("wrote {} samples to {out_path}", series.samples.len());
 
     // ASCII sketch of the Fig. 2 curve.
     println!("\nbusy-thread fraction over time:");
-    let step = (frame.activity.samples.len() / 24).max(1);
-    for s in frame.activity.samples.iter().step_by(step) {
-        let frac = if s.present() == 0 {
-            0.0
-        } else {
-            s.busy as f64 / s.present() as f64
-        };
+    let step = (series.samples.len() / 24).max(1);
+    for s in series.samples.iter().step_by(step) {
+        let frac = s.busy_fraction();
         println!(
             "{:>9} |{:<50}| {:.0}%",
             s.cycle,
@@ -71,11 +64,9 @@ fn main() {
             frac * 100.0
         );
     }
+    let [busy, waiting, inactive] = series.status_distribution();
     println!(
-        "\naverage RT-unit utilization: {:.1}%  (status split busy/wait/inactive = {:.2}/{:.2}/{:.2})",
-        frame.activity.avg_utilization() * 100.0,
-        frame.activity.status_distribution()[0],
-        frame.activity.status_distribution()[1],
-        frame.activity.status_distribution()[2],
+        "\naverage RT-unit utilization: {:.1}%  (status split busy/wait/inactive = {busy:.2}/{waiting:.2}/{inactive:.2})",
+        series.avg_utilization() * 100.0,
     );
 }

@@ -45,7 +45,7 @@ fn main() {
     );
     println!(
         "RT-unit thread utilization: {:.1}% -> {:.1}%",
-        base.activity.avg_utilization() * 100.0,
-        coop.activity.avg_utilization() * 100.0
+        base.intervals.avg_utilization() * 100.0,
+        coop.intervals.avg_utilization() * 100.0
     );
 }

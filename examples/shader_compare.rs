@@ -43,8 +43,8 @@ fn main() {
             base.cycles,
             coop.cycles,
             base.cycles as f64 / coop.cycles as f64,
-            base.activity.avg_utilization() * 100.0,
-            coop.activity.avg_utilization() * 100.0
+            base.intervals.avg_utilization() * 100.0,
+            coop.intervals.avg_utilization() * 100.0
         );
     }
     println!();

@@ -201,7 +201,7 @@ fn report(label: &str, scene: &Scene, cfg: &GpuConfig, frame: &FrameResult) {
     );
     println!(
         "RT-unit utilization: {:.1}% | L1 miss {:.1}% | L2 miss {:.1}% | DRAM util {:.1}%",
-        frame.activity.avg_utilization() * 100.0,
+        frame.intervals.avg_utilization() * 100.0,
         frame.mem.l1.miss_rate() * 100.0,
         frame.mem.l2.miss_rate() * 100.0,
         frame.dram_utilization * 100.0
@@ -394,7 +394,7 @@ fn query_report(label: &str, cfg: &GpuConfig, run: &QueryRun) {
         nonempty,
         run.answers.len(),
         entries,
-        run.frame.activity.avg_utilization() * 100.0
+        run.frame.intervals.avg_utilization() * 100.0
     );
 }
 

@@ -46,7 +46,7 @@ fn activity_sampling_is_reproducible() {
     let b = Simulation::new(&scene, &cfg, TraversalPolicy::CoopRt)
         .run_frame(ShaderKind::PathTrace, 10, 10)
         .unwrap();
-    assert_eq!(a.activity.samples, b.activity.samples);
+    assert_eq!(a.intervals.samples, b.intervals.samples);
 }
 
 #[test]

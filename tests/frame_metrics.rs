@@ -53,16 +53,16 @@ fn frame_statistics_are_internally_consistent() {
             "{label}: DRAM fills flow through L2"
         );
 
-        // Activity samples are in increasing time order and within the
+        // Interval samples are in increasing time order and within the
         // frame.
         assert!(
-            r.activity
+            r.intervals
                 .samples
                 .windows(2)
                 .all(|w| w[0].cycle < w[1].cycle),
             "{label}"
         );
-        let dist = r.activity.status_distribution();
+        let dist = r.intervals.status_distribution();
         assert!(
             (dist.iter().sum::<f64>() - 1.0).abs() < 1e-9 || dist == [0.0; 3],
             "{label}"

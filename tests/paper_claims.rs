@@ -61,7 +61,7 @@ fn fig4_substantial_thread_time_is_wasted_at_baseline() {
     let r = Simulation::new(&scene, &cfg, TraversalPolicy::Baseline)
         .run_frame(ShaderKind::PathTrace, RES, RES)
         .unwrap();
-    let [busy, waiting, inactive] = r.activity.status_distribution();
+    let [busy, waiting, inactive] = r.intervals.status_distribution();
     assert!(
         waiting + inactive > 0.35,
         "divergent scene should waste substantial thread-cycles: busy={busy:.2} waiting={waiting:.2} inactive={inactive:.2}"
@@ -82,7 +82,7 @@ fn fig10_utilization_improvement_tracks_speedup() {
             .run_frame(ShaderKind::PathTrace, RES, RES)
             .unwrap();
         (
-            coop.activity.avg_utilization() - base.activity.avg_utilization(),
+            coop.intervals.avg_utilization() - base.intervals.avg_utilization(),
             base.cycles as f64 / coop.cycles as f64,
         )
     };
