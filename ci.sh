@@ -40,6 +40,9 @@ perfbench_smoke() {
 echo "==> perfbench sweep_replay smoke (32 pinned sweep cells, replay = live)"
 perfbench_smoke sweep_replay
 
+echo "==> perfbench frame_live smoke (30 pinned live-frame cells with image hashes)"
+perfbench_smoke frame_live
+
 echo "==> perfbench serve_mixed smoke (the service under load, checked responses)"
 perfbench_smoke serve_mixed
 

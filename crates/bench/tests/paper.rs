@@ -3,7 +3,8 @@
 //! renders the same bytes on any worker count. Running it also runs
 //! the registry's checks: every cell renders the image of its
 //! Baseline, reorder-off, predict-off twin, and every query cell
-//! answers as the brute-force oracle does.
+//! answers as the brute-force oracle does. The checked-in
+//! `BENCH_paper.json` must list the registry's figures in order.
 
 use cooprt_bench::paper::{run, Knobs, Run, FIGURES};
 use cooprt_scenes::SceneId;
@@ -108,4 +109,23 @@ fn axis_studies_pair_every_cell_with_its_plain_baseline_twin() {
     // every cell but the plain Baseline one has a twin.
     let run = tiny(2, &["ext_reorder", "ext_raypath"]);
     assert_eq!((run.requested, run.simulated, run.twins), (16, 16, 12));
+}
+
+#[test]
+fn the_checked_in_report_lists_every_figure_in_registry_order() {
+    // Only an unfiltered run rewrites BENCH_paper.json: a figure added
+    // to or removed from `FIGURES` without that run fails here.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_paper.json");
+    let text = std::fs::read_to_string(path).unwrap();
+    let doc = parse_json(&text).expect("BENCH_paper.json parses");
+    let Some(JsonValue::Array(tables)) = doc.get("tables") else {
+        panic!("no tables array");
+    };
+    let mut names: Vec<&str> = tables
+        .iter()
+        .map(|t| t.get("figure").and_then(JsonValue::as_str).unwrap())
+        .collect();
+    names.dedup();
+    let registry: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    assert_eq!(names, registry);
 }

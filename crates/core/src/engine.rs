@@ -396,9 +396,12 @@ impl<'s> Simulation<'s> {
     /// # Errors
     ///
     /// Returns [`ConfigError::ZeroSamples`] if `spp == 0`,
-    /// [`ConfigError::EmptyFrame`] if the frame has zero pixels, and
+    /// [`ConfigError::EmptyFrame`] if the frame has zero pixels,
     /// [`ConfigError::ZeroReorderBuckets`] if reordering is enabled
-    /// without sort buckets.
+    /// without sort buckets, [`ConfigError::ZeroPredictorEntries`] if
+    /// ray-path prediction is enabled without table entries, and
+    /// [`ConfigError::QueryDomainMismatch`] if `kind` is a query
+    /// shader the scene cannot answer.
     pub fn run_accumulated(
         &self,
         kind: ShaderKind,
@@ -415,9 +418,12 @@ impl<'s> Simulation<'s> {
     /// # Errors
     ///
     /// Returns [`ConfigError::ZeroSamples`] if `spp == 0`,
-    /// [`ConfigError::EmptyFrame`] if the frame has zero pixels, and
+    /// [`ConfigError::EmptyFrame`] if the frame has zero pixels,
     /// [`ConfigError::ZeroReorderBuckets`] if reordering is enabled
-    /// without sort buckets.
+    /// without sort buckets, [`ConfigError::ZeroPredictorEntries`] if
+    /// ray-path prediction is enabled without table entries, and
+    /// [`ConfigError::QueryDomainMismatch`] if `kind` is a query
+    /// shader the scene cannot answer.
     pub fn run_accumulated_with_threads(
         &self,
         kind: ShaderKind,
@@ -469,9 +475,12 @@ impl<'s> Simulation<'s> {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::EmptyFrame`] if `width * height == 0`
-    /// and [`ConfigError::ZeroReorderBuckets`] if reordering is
-    /// enabled without sort buckets.
+    /// Returns [`ConfigError::EmptyFrame`] if `width * height == 0`,
+    /// [`ConfigError::ZeroReorderBuckets`] if reordering is enabled
+    /// without sort buckets, [`ConfigError::ZeroPredictorEntries`] if
+    /// ray-path prediction is enabled without table entries, and
+    /// [`ConfigError::QueryDomainMismatch`] if `kind` is a query
+    /// shader the scene cannot answer.
     pub fn run_frame(
         &self,
         kind: ShaderKind,
@@ -500,9 +509,11 @@ impl<'s> Simulation<'s> {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::EmptyFrame`] if `width * height == 0`
-    /// and [`ConfigError::ZeroReorderBuckets`] if reordering is
-    /// enabled without sort buckets.
+    /// Returns [`ConfigError::EmptyFrame`] if `width * height == 0`,
+    /// [`ConfigError::ZeroReorderBuckets`] if reordering is enabled
+    /// without sort buckets, and [`ConfigError::ZeroPredictorEntries`]
+    /// if ray-path prediction is enabled without table entries. Query
+    /// domains are not checked (replay never consults them).
     ///
     /// # Panics
     ///

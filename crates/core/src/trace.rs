@@ -101,6 +101,10 @@ pub enum TraceError {
     /// recorded ray streams would not be the streams a live run under
     /// that configuration produces.
     ConfigMismatch(String),
+    /// The simulation entry point rejected the replay configuration
+    /// (e.g. ray reordering without sort buckets, or ray-path
+    /// prediction without table entries).
+    Config(ConfigError),
 }
 
 impl std::fmt::Display for TraceError {
@@ -122,6 +126,7 @@ impl std::fmt::Display for TraceError {
                 "trace checksum mismatch: footer {stored:#018x}, body hashes to {computed:#018x}"
             ),
             TraceError::ConfigMismatch(why) => write!(f, "config incompatible with trace: {why}"),
+            TraceError::Config(e) => write!(f, "invalid replay config: {e}"),
         }
     }
 }
@@ -316,7 +321,8 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::EmptyFrame`] for zero-pixel frames.
+    /// Returns every error [`Simulation::run_frame`] returns for `cfg`,
+    /// `kind` and the frame shape.
     pub fn record(
         scene: &Scene,
         detail: u32,
@@ -363,7 +369,12 @@ impl Trace {
     /// # Errors
     ///
     /// Returns [`TraceError::ConfigMismatch`] if `cfg` changes a
-    /// shader-visible field (see [`Trace::check_config`]).
+    /// shader-visible field (see [`Trace::check_config`]), and
+    /// [`TraceError::Config`] wrapping the [`ConfigError`] that
+    /// [`Simulation::replay_frame`] returns:
+    /// [`ConfigError::ZeroReorderBuckets`] or
+    /// [`ConfigError::ZeroPredictorEntries`] for `cfg`, or
+    /// [`ConfigError::EmptyFrame`] for a hand-built zero-pixel trace.
     pub fn replay(
         &self,
         cfg: &GpuConfig,
@@ -379,7 +390,7 @@ impl Trace {
                 self.streams.clone(),
                 self.image.clone(),
             )
-            .map_err(|e| TraceError::Corrupt(e.to_string()))
+            .map_err(TraceError::Config)
     }
 
     /// Verifies that `cfg` keeps every shader-visible field the streams
@@ -1294,6 +1305,32 @@ mod tests {
         let mut cfg = GpuConfig::small(2);
         cfg.mem.l1_mshr_entries *= 2;
         assert!(trace.check_config(&cfg).is_ok());
+    }
+
+    #[test]
+    fn replay_reports_a_rejected_config_as_a_config_error() {
+        let (_, trace) = record_small(
+            SceneId::Wknd,
+            TraversalPolicy::Baseline,
+            ShaderKind::PathTrace,
+        );
+        let mut no_entries = GpuConfig::small(2).with_predict(crate::PredictPolicy::RayPath);
+        no_entries.predictor_entries = 0;
+        let err = trace.replay(&no_entries, TraversalPolicy::Baseline);
+        assert_eq!(
+            err.unwrap_err(),
+            TraceError::Config(ConfigError::ZeroPredictorEntries)
+        );
+        let mut no_buckets = GpuConfig::small(2).with_reorder(crate::ReorderPolicy::Morton);
+        no_buckets.reorder_buckets = 0;
+        let err = trace
+            .replay(&no_buckets, TraversalPolicy::CoopRt)
+            .unwrap_err();
+        assert_eq!(err, TraceError::Config(ConfigError::ZeroReorderBuckets));
+        assert_eq!(
+            err.to_string(),
+            "invalid replay config: ray reordering needs at least one sort bucket"
+        );
     }
 
     #[test]
