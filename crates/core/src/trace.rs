@@ -1316,11 +1316,10 @@ mod tests {
         );
         let mut no_entries = GpuConfig::small(2).with_predict(crate::PredictPolicy::RayPath);
         no_entries.predictor_entries = 0;
-        let err = trace.replay(&no_entries, TraversalPolicy::Baseline);
-        assert_eq!(
-            err.unwrap_err(),
-            TraceError::Config(ConfigError::ZeroPredictorEntries)
-        );
+        let err = trace
+            .replay(&no_entries, TraversalPolicy::Baseline)
+            .unwrap_err();
+        assert_eq!(err, TraceError::Config(ConfigError::ZeroPredictorEntries));
         let mut no_buckets = GpuConfig::small(2).with_reorder(crate::ReorderPolicy::Morton);
         no_buckets.reorder_buckets = 0;
         let err = trace
