@@ -119,14 +119,6 @@ impl ShutdownHandle {
             .metrics
             .to_json(&self.shared.dispatcher, self.shared.dispatcher.executor())
     }
-
-    /// Renders the Prometheus text exposition out-of-band (the same
-    /// document `GET /metrics` serves under `Accept: text/plain`).
-    pub fn metrics_prometheus(&self) -> String {
-        self.shared
-            .metrics
-            .to_prometheus(&self.shared.dispatcher, self.shared.dispatcher.executor())
-    }
 }
 
 /// A bound, not-yet-running server.
@@ -308,8 +300,14 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         shared.limits,
     );
     loop {
-        let request = match reader.read_request() {
-            Ok(Some(request)) => request,
+        let request = reader.read_request();
+        let started = Instant::now();
+        let (route, response, close) = match &request {
+            Ok(Some(request)) => (
+                Route::of_path(&request.target),
+                handle_request(shared, request).unwrap_or_else(|err| Response::from_error(&err)),
+                request.wants_close(),
+            ),
             Ok(None) => return, // clean close (or drain) between requests
             Err(err) => {
                 // Framing is unknown after a protocol error: respond
@@ -319,20 +317,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                     .log(LogLevel::Warn, "serve::server", "protocol error", |f| {
                         f.str("peer", peer.as_str()).str("code", err.code());
                     });
-                let response = Response::from_error(&err);
-                shared.metrics.count_response(response.status);
-                if let Ok(sent) = response.write_to(&mut write_half) {
-                    shared.metrics.count_bytes(reader.take_wire_bytes(), sent);
-                }
-                return;
+                (Route::Other, Response::from_error(err), true)
             }
-        };
-        let started = Instant::now();
-        let close = request.wants_close();
-        let route = Route::of_path(&request.target);
-        let response = match handle_request(shared, &request) {
-            Ok(response) => response,
-            Err(err) => Response::from_error(&err),
         };
         let status = response.status;
         let sent = response.write_to(&mut write_half);
@@ -342,15 +328,17 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             reader.take_wire_bytes(),
             sent.as_ref().copied().unwrap_or(0),
         );
-        shared
-            .logger
-            .log(LogLevel::Info, "serve::server", "request", |f| {
-                f.str("method", request.method.as_str())
-                    .str("target", request.target.as_str())
-                    .str("route", route.label())
-                    .u64("status", u64::from(status))
-                    .u64("latency_us", latency_us);
-            });
+        if let Ok(Some(request)) = &request {
+            shared
+                .logger
+                .log(LogLevel::Info, "serve::server", "request", |f| {
+                    f.str("method", request.method.as_str())
+                        .str("target", request.target.as_str())
+                        .str("route", route.label())
+                        .u64("status", u64::from(status))
+                        .u64("latency_us", latency_us);
+                });
+        }
         if sent.is_err() || close {
             return;
         }
@@ -377,34 +365,33 @@ fn wants_prometheus(request: &Request) -> bool {
 /// Routes one parsed request to its handler.
 fn handle_request(shared: &Arc<Shared>, request: &Request) -> Result<Response, ServeError> {
     let path = request.target.split('?').next().unwrap_or("");
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => Ok(healthz(shared)),
-        ("GET", "/metrics") if wants_prometheus(request) => Ok(Response::prometheus(
+    match (request.method.as_str(), Route::of_path(path)) {
+        ("GET", Route::Healthz) => Ok(healthz(shared)),
+        ("GET", Route::Metrics) if wants_prometheus(request) => Ok(Response::prometheus(
             200,
             shared
                 .metrics
                 .to_prometheus(&shared.dispatcher, shared.dispatcher.executor()),
         )),
-        ("GET", "/metrics") => Ok(Response::json(
+        ("GET", Route::Metrics) => Ok(Response::json(
             200,
             shared
                 .metrics
                 .to_json(&shared.dispatcher, shared.dispatcher.executor()),
         )),
-        ("POST", "/v1/render") => submit_job(shared, Endpoint::Render, request),
-        ("POST", "/v1/simulate") => submit_job(shared, Endpoint::Simulate, request),
-        ("POST", "/v1/query") => submit_job(shared, Endpoint::Query, request),
-        ("GET", path) if path.starts_with("/v1/jobs/") => job_status(shared, path),
-        ("GET", path) if path.starts_with("/v1/spans/") => request_spans(shared, path),
+        ("POST", Route::Render) => submit_job(shared, Endpoint::Render, request),
+        ("POST", Route::Simulate) => submit_job(shared, Endpoint::Simulate, request),
+        ("POST", Route::Query) => submit_job(shared, Endpoint::Query, request),
+        ("GET", Route::Jobs) => job_status(shared, path),
+        ("GET", Route::Spans) => request_spans(shared, path),
         // Known routes under the wrong method get a 405 + Allow.
-        (_, "/healthz") | (_, "/metrics") => Err(ServeError::MethodNotAllowed { allow: "GET" }),
-        (_, "/v1/render") | (_, "/v1/simulate") | (_, "/v1/query") => {
-            Err(ServeError::MethodNotAllowed { allow: "POST" })
-        }
-        (_, path) if path.starts_with("/v1/jobs/") || path.starts_with("/v1/spans/") => {
+        (_, Route::Healthz | Route::Metrics | Route::Jobs | Route::Spans) => {
             Err(ServeError::MethodNotAllowed { allow: "GET" })
         }
-        _ => Err(ServeError::UnknownRoute(request.target.clone())),
+        (_, Route::Render | Route::Simulate | Route::Query) => {
+            Err(ServeError::MethodNotAllowed { allow: "POST" })
+        }
+        (_, Route::Other) => Err(ServeError::UnknownRoute(request.target.clone())),
     }
 }
 

@@ -196,6 +196,18 @@ fn protocol_limits_hold_over_real_sockets() {
 
     handle.shutdown();
     join.join().unwrap();
+
+    // Requests the reader rejects count under a route like every
+    // other request, so the routes add up to the request total.
+    let doc = parse_json(&handle.metrics_json()).unwrap();
+    let requests = doc.get("http").and_then(|h| h.get("requests"));
+    let routed: f64 = match doc.get("routes") {
+        Some(cooprt_telemetry::JsonValue::Object(routes)) => {
+            routes.iter().filter_map(|(_, v)| v.as_f64()).sum()
+        }
+        other => panic!("routes must be an object, got {other:?}"),
+    };
+    assert_eq!(requests.and_then(|v| v.as_f64()), Some(routed), "{doc:?}");
 }
 
 #[test]
