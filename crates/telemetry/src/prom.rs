@@ -81,13 +81,15 @@ fn format_value(v: f64) -> String {
 ///
 /// let mut w = PromWriter::new();
 /// w.family("cooprt_requests_total", "Requests served.", PromKind::Counter);
-/// w.sample("cooprt_requests_total", &[("route", "render")], 42.0);
+/// w.sample(&[("route", "render")], 42.0);
 /// let text = w.finish();
 /// assert!(validate_prometheus(&text).is_ok());
 /// ```
 #[derive(Debug, Default)]
 pub struct PromWriter {
     out: String,
+    /// The family the last [`PromWriter::family`] call opened.
+    family: String,
 }
 
 impl PromWriter {
@@ -97,9 +99,10 @@ impl PromWriter {
     }
 
     /// Opens a metric family: writes its `# HELP` and `# TYPE` lines.
-    /// Every subsequent [`PromWriter::sample`] for this family must
-    /// follow before the next `family` call.
+    /// [`PromWriter::sample`] and [`PromWriter::histogram`] write into
+    /// it until the next `family` call.
     pub fn family(&mut self, name: &str, help: &str, kind: PromKind) {
+        self.family = name.to_string();
         self.out.push_str("# HELP ");
         self.out.push_str(name);
         self.out.push(' ');
@@ -118,10 +121,34 @@ impl PromWriter {
         self.out.push('\n');
     }
 
-    /// Writes one sample line under the open family. For histograms,
-    /// `name` carries the `_bucket`/`_sum`/`_count` suffix.
-    pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.out.push_str(name);
+    /// Writes one sample line of the open family.
+    pub fn sample(&mut self, labels: &[(&str, &str)], value: f64) {
+        self.line("", labels, value);
+    }
+
+    /// Writes one histogram series of the open family from a snapshot:
+    /// cumulative `_bucket` lines (including `+Inf`), then `_sum` and
+    /// `_count`.
+    pub fn histogram(&mut self, labels: &[(&str, &str)], snap: &HistogramSnapshot) {
+        let mut cumulative = 0u64;
+        for (i, count) in snap.counts.iter().chain([&snap.overflow]).enumerate() {
+            cumulative += count;
+            let le = snap
+                .bounds
+                .get(i)
+                .map_or_else(|| "+Inf".to_string(), u64::to_string);
+            let mut with_le = labels.to_vec();
+            with_le.push(("le", &le));
+            self.line("_bucket", &with_le, cumulative as f64);
+        }
+        self.line("_sum", labels, snap.sum as f64);
+        self.line("_count", labels, cumulative as f64);
+    }
+
+    /// Writes the sample line `<family><suffix>{labels} value`.
+    fn line(&mut self, suffix: &str, labels: &[(&str, &str)], value: f64) {
+        self.out.push_str(&self.family);
+        self.out.push_str(suffix);
         if !labels.is_empty() {
             self.out.push('{');
             for (i, (k, v)) in labels.iter().enumerate() {
@@ -138,26 +165,6 @@ impl PromWriter {
         self.out.push(' ');
         self.out.push_str(&format_value(value));
         self.out.push('\n');
-    }
-
-    /// Writes a full histogram family body from a snapshot: cumulative
-    /// `_bucket` lines (including `+Inf`), then `_sum` and `_count`.
-    pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)], snap: &HistogramSnapshot) {
-        let bucket = format!("{name}_bucket");
-        let mut cumulative = 0u64;
-        for (bound, count) in snap.bounds.iter().zip(&snap.counts) {
-            cumulative += count;
-            let le = bound.to_string();
-            let mut with_le: Vec<(&str, &str)> = labels.to_vec();
-            with_le.push(("le", &le));
-            self.sample(&bucket, &with_le, cumulative as f64);
-        }
-        cumulative += snap.overflow;
-        let mut with_le: Vec<(&str, &str)> = labels.to_vec();
-        with_le.push(("le", "+Inf"));
-        self.sample(&bucket, &with_le, cumulative as f64);
-        self.sample(&format!("{name}_sum"), labels, snap.sum as f64);
-        self.sample(&format!("{name}_count"), labels, cumulative as f64);
     }
 
     /// The finished document.
@@ -577,16 +584,16 @@ mod tests {
             "Requests served.",
             PromKind::Counter,
         );
-        w.sample("cooprt_requests_total", &[("route", "render")], 3.0);
-        w.sample("cooprt_requests_total", &[("route", "metrics")], 1.0);
+        w.sample(&[("route", "render")], 3.0);
+        w.sample(&[("route", "metrics")], 1.0);
         w.family("cooprt_queue_depth", "Jobs waiting.", PromKind::Gauge);
-        w.sample("cooprt_queue_depth", &[], 2.0);
+        w.sample(&[], 2.0);
         w.family(
             "cooprt_latency_us",
             "Request latency, microseconds.",
             PromKind::Histogram,
         );
-        w.histogram("cooprt_latency_us", &[], &small_histogram().snapshot());
+        w.histogram(&[], &small_histogram().snapshot());
         let text = w.finish();
         let expected = "\
 # HELP cooprt_requests_total Requests served.
@@ -616,7 +623,7 @@ cooprt_latency_us_count 5
     fn label_values_round_trip_through_escaping() {
         let mut w = PromWriter::new();
         w.family("m", "h", PromKind::Gauge);
-        w.sample("m", &[("path", "a\\b\"c\nd")], 1.0);
+        w.sample(&[("path", "a\\b\"c\nd")], 1.0);
         let text = w.finish();
         assert!(text.contains(r#"path="a\\b\"c\nd""#));
         validate_prometheus(&text).expect("escaped labels validate");
