@@ -12,8 +12,8 @@
 //! The report also carries the engine's interval samples
 //! ([`IntervalSeries`]) — AerialVision-style time series of the
 //! thread-status mix, cache hit counters, DRAM traffic and warp-buffer
-//! occupancy — plus optional host-side wall-clock spans from a
-//! [`Profiler`].
+//! occupancy — plus optional host-side wall-clock spans ([`HostSpan`]s
+//! from a `cooprt_telemetry::SpanRecorder`).
 //!
 //! Counter-reset semantics: every counter in a [`FrameResult`] is
 //! per-frame *by construction* — `Simulation::run_frame` builds a fresh
@@ -28,7 +28,7 @@ use crate::latency::TraceLatencies;
 use crate::predictor::PredictorStats;
 use crate::reorder::ReorderStats;
 use cooprt_gpu::{EnergyEvents, EnergyReport, MemStats};
-use cooprt_telemetry::{JsonWriter, Profiler};
+use cooprt_telemetry::{HostSpan, JsonWriter};
 
 /// Version of the metrics JSON schema emitted by [`MetricsReport::to_json`].
 ///
@@ -162,10 +162,11 @@ impl MetricsReport {
         self.frames.push(FrameMetrics::from_frame(label, frame));
     }
 
-    /// Folds a host-side profiler's spans into the report.
-    pub fn add_profiler(&mut self, profiler: &Profiler) {
-        for span in profiler.spans() {
-            self.host_spans.push((span.name.clone(), span.secs));
+    /// Folds host-side wall-clock spans into the report.
+    pub fn add_spans(&mut self, spans: &[HostSpan]) {
+        for span in spans {
+            self.host_spans
+                .push((span.name.clone(), span.dur_us as f64 / 1e6));
         }
     }
 
@@ -443,16 +444,22 @@ mod tests {
 
     #[test]
     fn host_spans_fold_into_the_report() {
-        let mut p = Profiler::new();
-        p.record("bvh_build", 0.25);
-        p.record("frame_run", 1.5);
+        let span = |name: &str, start_us: u64, dur_us: u64| HostSpan {
+            name: name.to_string(),
+            start_us,
+            dur_us,
+        };
         let mut report = MetricsReport::new("spans");
-        report.add_profiler(&p);
+        report.add_spans(&[
+            span("bvh_build", 0, 250_000),
+            span("frame_run", 250_000, 1_500_000),
+        ]);
         let doc = parse_json(&report.to_json()).unwrap();
         match doc.get("host_spans") {
             Some(cooprt_telemetry::JsonValue::Array(a)) => {
                 assert_eq!(a.len(), 2);
                 assert_eq!(a[0].get("name").and_then(|v| v.as_str()), Some("bvh_build"));
+                assert_eq!(a[1].get("secs").and_then(|v| v.as_f64()), Some(1.5));
             }
             other => panic!("host_spans must be an array, got {other:?}"),
         }

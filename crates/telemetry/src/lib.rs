@@ -23,12 +23,11 @@
 //!   bench (correct string escaping, pretty and inline container
 //!   styles, fixed-precision floats). The workspace has no external
 //!   dependencies, so this is the one JSON producer everything uses.
-//! - [`Profiler`] / [`SpanRecorder`] — host-side wall-clock spans.
-//!   `Profiler` is the single-owner collection batch tools fold into
-//!   reports; `SpanRecorder` is the cloneable, zero-cost-when-disabled
-//!   handle the serve path threads through its dispatcher and executor
-//!   to build per-request span trees (exported via
-//!   [`host_spans_chrome_json`]).
+//! - [`SpanRecorder`] — host-side wall-clock spans: a cloneable,
+//!   zero-cost-when-disabled handle. The serve path threads one through
+//!   its dispatcher and executor to build per-request span trees
+//!   (exported via [`host_spans_chrome_json`]); batch tools fold its
+//!   [`HostSpan`]s into `MetricsReport`.
 //! - [`Logger`] — leveled structured logging as JSON lines, filtered
 //!   by the `COOPRT_LOG` level/target grammar, zero-cost when disabled
 //!   (the field closure never runs).
@@ -80,6 +79,6 @@ pub use prom::{
     PromWriter,
 };
 pub use slo::{RollingWindow, SloConfig, SloSnapshot, MAX_SAMPLES_PER_SEC};
-pub use spans::{HostSpan, Profiler, Span, SpanRecorder, MAX_SPANS_PER_RECORDER};
+pub use spans::{HostSpan, SpanRecorder, MAX_SPANS_PER_RECORDER};
 pub use trace::{AccessOutcome, CacheLevel, EventKind, TraceEvent, TraceLog, Tracer};
 pub use validate::{parse_json, validate_chrome_trace, JsonValue, TraceCheck};

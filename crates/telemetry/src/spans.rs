@@ -1,98 +1,20 @@
 //! Host-side profiling spans: scoped wall-clock timers.
 //!
-//! These measure the *host* (suite build, BVH build, frame run, bench
-//! phases), not the simulated machine — the complement of the sim-time
-//! [`crate::Tracer`]. Spans are folded into the same JSON reports via
-//! `MetricsReport` in `cooprt-core`.
+//! These measure the *host* (scene build, frame run, trace export,
+//! a request's queue wait and engine run), not the simulated machine —
+//! the complement of the sim-time [`crate::Tracer`].
 //!
-//! Two span flavors live here:
-//!
-//! - [`Profiler`] — a plain, single-owner collection of named
-//!   durations in seconds, for batch tools and benches;
-//! - [`SpanRecorder`] — a cheap, cloneable handle (Tracer pattern:
-//!   `Option<Arc<..>>`, zero-cost when disabled) recording
-//!   microsecond-offset [`HostSpan`]s against a fixed origin. The
-//!   serve path hands one recorder per request through the dispatcher
-//!   and executor, producing the queue-wait → scene → engine-run →
-//!   serialize span tree exported by
-//!   [`crate::host_spans_chrome_json`].
+//! [`SpanRecorder`] is a cheap, cloneable handle (Tracer pattern:
+//! `Option<Arc<..>>`, zero-cost when disabled) recording
+//! microsecond-offset [`HostSpan`]s against a fixed origin. The serve
+//! path hands one recorder per request through the dispatcher and
+//! executor, producing the queue-wait → scene → engine-run → serialize
+//! span tree exported by [`crate::host_spans_chrome_json`]; batch tools
+//! such as the `trace_export` example time their phases with one and
+//! fold its spans into `MetricsReport` in `cooprt-core`.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// One named wall-clock measurement.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Span {
-    /// Span name (e.g. `"suite_build"`, `"frame_run"`).
-    pub name: String,
-    /// Elapsed wall-clock seconds.
-    pub secs: f64,
-}
-
-/// An ordered collection of wall-clock spans.
-///
-/// # Examples
-///
-/// ```
-/// use cooprt_telemetry::Profiler;
-///
-/// let mut prof = Profiler::new();
-/// let answer = prof.time("compute", || 6 * 7);
-/// assert_eq!(answer, 42);
-/// assert!(prof.secs("compute").unwrap() >= 0.0);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Profiler {
-    spans: Vec<Span>,
-}
-
-impl Profiler {
-    /// Create an empty profiler.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Run `f`, recording its wall-clock duration under `name`, and
-    /// return its result.
-    pub fn time<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let out = f();
-        self.record(name, start.elapsed().as_secs_f64());
-        out
-    }
-
-    /// Record an externally measured duration under `name`.
-    pub fn record(&mut self, name: &str, secs: f64) {
-        self.spans.push(Span {
-            name: name.to_string(),
-            secs,
-        });
-    }
-
-    /// Total seconds recorded under `name` (summed over repeats), or
-    /// `None` if the span was never recorded.
-    pub fn secs(&self, name: &str) -> Option<f64> {
-        let mut total = 0.0;
-        let mut seen = false;
-        for s in &self.spans {
-            if s.name == name {
-                total += s.secs;
-                seen = true;
-            }
-        }
-        seen.then_some(total)
-    }
-
-    /// All recorded spans, in recording order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Sum of all recorded spans.
-    pub fn total_secs(&self) -> f64 {
-        self.spans.iter().map(|s| s.secs).sum()
-    }
-}
 
 /// One host-side span, offset-stamped in microseconds against its
 /// recorder's origin (so a request's span tree starts near 0).
@@ -210,30 +132,6 @@ fn push_span(shared: &SpanShared, name: &str, start: Instant, end: Instant) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_records_and_returns() {
-        let mut p = Profiler::new();
-        let v = p.time("a", || {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            7
-        });
-        assert_eq!(v, 7);
-        assert_eq!(p.spans().len(), 1);
-        assert!(p.secs("a").unwrap() > 0.0);
-        assert!(p.secs("missing").is_none());
-    }
-
-    #[test]
-    fn repeated_names_sum() {
-        let mut p = Profiler::new();
-        p.record("x", 0.5);
-        p.record("x", 0.25);
-        p.record("y", 1.0);
-        assert_eq!(p.secs("x"), Some(0.75));
-        assert_eq!(p.total_secs(), 1.75);
-        assert_eq!(p.spans().len(), 3);
-    }
 
     #[test]
     fn disabled_recorder_still_runs_the_work() {

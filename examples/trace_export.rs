@@ -26,7 +26,9 @@
 
 use cooprt::core::{GpuConfig, MetricsReport, ShaderKind, Simulation, TraversalPolicy};
 use cooprt::scenes::ALL_SCENES;
-use cooprt::telemetry::{chrome_trace_json, validate_chrome_trace, Profiler, TraceMeta, Tracer};
+use cooprt::telemetry::{
+    chrome_trace_json, validate_chrome_trace, SpanRecorder, TraceMeta, Tracer,
+};
 
 struct Args {
     scene: String,
@@ -94,8 +96,8 @@ fn main() {
         std::process::exit(1);
     };
 
-    let mut profiler = Profiler::new();
-    let scene = profiler.time("scene_build", || id.build(args.detail));
+    let spans = SpanRecorder::enabled();
+    let scene = spans.time("scene_build", || id.build(args.detail));
     let cfg = GpuConfig::rtx2060();
     let policy = args.policy;
     println!(
@@ -106,7 +108,7 @@ fn main() {
     );
 
     let tracer = Tracer::enabled();
-    let frame = profiler.time("frame_run", || {
+    let frame = spans.time("frame_run", || {
         Simulation::new(&scene, &cfg, policy)
             .with_tracer(tracer.clone())
             .run_frame(ShaderKind::PathTrace, args.res, args.res)
@@ -123,7 +125,7 @@ fn main() {
 
     let label = format!("{}_{}", id.name(), policy.label());
     let meta = TraceMeta::new(&format!("CoopRT {label}"));
-    let trace = profiler.time("trace_export", || chrome_trace_json(&log, &meta));
+    let trace = spans.time("trace_export", || chrome_trace_json(&log, &meta));
 
     if args.check {
         let check = validate_chrome_trace(&trace).unwrap_or_else(|e| {
@@ -171,7 +173,7 @@ fn main() {
 
     let mut report = MetricsReport::new(&format!("CoopRT {label}"));
     report.add_frame(&label, &frame);
-    report.add_profiler(&profiler);
+    report.add_spans(&spans.snapshot());
     // One report per scene/policy label: a fixed name would silently
     // overwrite earlier reports when exporting several runs into the
     // same directory.
