@@ -772,7 +772,23 @@ fn serve_smoke(
     if hits != Some(1.0) {
         return Err(format!("smoke: expected 1 result-cache hit, got {hits:?}"));
     }
-    println!("smoke: /metrics parses, result-cache hit counted");
+    // One keep-alive connection: every earlier request is observed.
+    let requests = doc
+        .get("http")
+        .and_then(|h| h.get("requests"))
+        .and_then(|v| v.as_f64());
+    let routed: f64 = match doc.get("routes") {
+        Some(cooprt::telemetry::JsonValue::Object(routes)) => {
+            routes.iter().filter_map(|(_, v)| v.as_f64()).sum()
+        }
+        _ => return Err("smoke: /metrics has no routes object".to_string()),
+    };
+    if requests != Some(routed) {
+        return Err(format!(
+            "smoke: http.requests is {requests:?}, the routes sum to {routed}"
+        ));
+    }
+    println!("smoke: /metrics parses, result-cache hit counted, routes add up to requests");
 
     let prom = client.get_accept("/metrics", "text/plain").map_err(io)?;
     if prom.status != 200 {
@@ -783,7 +799,11 @@ fn serve_smoke(
     }
     cooprt::telemetry::validate_prometheus(&prom.text())
         .map_err(|e| format!("smoke: prometheus exposition invalid: {e}"))?;
-    println!("smoke: /metrics (Accept: text/plain) passes the Prometheus validator");
+    let hit_line = r#"cooprt_cache_requests_total{cache="result",outcome="hit"} 1"#;
+    if !prom.text().lines().any(|line| line == hit_line) {
+        return Err(format!("smoke: prometheus exposition lacks '{hit_line}'"));
+    }
+    println!("smoke: /metrics (Accept: text/plain) passes the Prometheus validator and agrees with the JSON");
 
     let id = first
         .header("x-request-id")
