@@ -10,15 +10,24 @@
 //! arrays plus a free list), like the hardware it models. A line → slot
 //! [`LineIndex`] (the same open-addressing table the caches use, keyed
 //! through `lines`, but sized for the full table, so it never doubles)
-//! makes `lookup` and the insert-overwrite check O(1); only the reclaim
-//! and evict passes scan the slots, and they run only when the table is
-//! full. Lines are stored plus one, so a zero-filled array is an empty
-//! table. Merge/allocate/eviction behaviour is
-//! bitwise identical to the map-based model in `cooprt_check::oracle`,
-//! including the deterministic line-index tie-break for equal
-//! completion times.
+//! makes `lookup` and the insert-overwrite check O(1). The occupied
+//! slots are also kept in `(done, line)` order, as a binary heap of
+//! their keys, so the two passes a full table runs read the front of
+//! that order instead of scanning every slot: the reclaim pass pops
+//! expired fills until the front is still in flight, and the evict
+//! pass drops the front. Releasing a slot (`lookup`'s lazy release, or
+//! overwriting a line's completion cycle) leaves its old key in the
+//! heap; a key whose slot no longer holds that `(done, line)` is
+//! skipped when it reaches the front, and the heap is pruned of such
+//! keys whenever it grows to twice the table. Lines are stored plus
+//! one, so a zero-filled array is an empty table.
+//! Merge/allocate/eviction behaviour is bitwise identical to the
+//! map-based model in `cooprt_check::oracle`, including the
+//! deterministic line-index tie-break for equal completion times.
 
 use crate::cache::LineIndex;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Counters of MSHR behaviour.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -52,6 +61,10 @@ pub struct Mshr {
     done: Box<[u64]>,
     /// Line → slot index over the occupied slots.
     index: LineIndex,
+    /// `(done, line + 1, slot)` of every occupied slot, plus stale keys
+    /// of released or overwritten ones, as a min-heap: the first live
+    /// key is the earliest-completing fill, line index breaking ties.
+    order: BinaryHeap<Reverse<(u64, u64, u32)>>,
     /// Indices of free slots.
     free: Vec<u32>,
     stats: MshrStats,
@@ -69,6 +82,7 @@ impl Mshr {
             lines: vec![0; capacity].into_boxed_slice(),
             done: vec![0; capacity].into_boxed_slice(),
             index: LineIndex::new(capacity),
+            order: BinaryHeap::with_capacity(2 * capacity + 1),
             free: (0..capacity as u32).rev().collect(),
             stats: MshrStats::default(),
         }
@@ -99,35 +113,53 @@ impl Mshr {
     pub fn insert(&mut self, line: u64, done: u64, now: u64) {
         self.stats.allocations += 1;
         if self.free.is_empty() {
-            // Reclaim completed fills.
-            for i in 0..self.lines.len() {
-                if self.lines[i] != 0 && self.done[i] <= now {
-                    self.release(i);
-                }
+            // Reclaim completed fills: they lead the `(done, line)`
+            // order.
+            while self
+                .order
+                .peek()
+                .is_some_and(|&Reverse((d, _, _))| d <= now)
+            {
+                self.pop_front();
             }
         }
-        if self.free.is_empty() {
+        while self.free.is_empty() {
             // All pending, every slot occupied: drop the
             // earliest-completing entry, line index breaking ties.
-            let victim = (0..self.lines.len())
-                .min_by_key(|&i| (self.done[i], self.lines[i]))
-                .expect("full table has occupied slots");
-            self.release(victim);
+            self.pop_front();
         }
         // Update in place if the line is already tracked (matches the
         // map-based model's insert-overwrite semantics).
         let key = line + 1;
-        if let Some(slot) = self.index.find(&self.lines, key) {
-            self.done[slot] = done;
-            return;
-        }
-        let slot = self.free.pop().expect("a free slot was ensured above") as usize;
-        self.lines[slot] = key;
+        let slot = match self.index.find(&self.lines, key) {
+            Some(slot) => slot,
+            None => {
+                let slot = self.free.pop().expect("a free slot was ensured above") as usize;
+                self.lines[slot] = key;
+                self.index.insert(&self.lines, key, slot);
+                slot
+            }
+        };
         self.done[slot] = done;
-        self.index.insert(&self.lines, key, slot);
+        if self.order.len() >= 2 * self.lines.len() {
+            let (lines, done) = (&self.lines, &self.done);
+            self.order
+                .retain(|&Reverse((d, k, s))| lines[s as usize] == k && done[s as usize] == d);
+        }
+        self.order.push(Reverse((done, key, slot as u32)));
     }
 
-    /// Frees occupied slot `slot`.
+    /// Removes the front key of the order and frees its slot if the
+    /// key is still the slot's own.
+    fn pop_front(&mut self) {
+        let Reverse((done, key, slot)) = self.order.pop().expect("occupied slots are ordered");
+        let slot = slot as usize;
+        if self.lines[slot] == key && self.done[slot] == done {
+            self.release(slot);
+        }
+    }
+
+    /// Frees occupied slot `slot`; its key stays in the order, stale.
     fn release(&mut self, slot: usize) {
         self.index.remove(&self.lines, slot);
         self.lines[slot] = 0;
@@ -276,6 +308,40 @@ mod tests {
         m.insert(7, 450, 10);
         assert_eq!(m.occupancy(), 1);
         assert_eq!(m.lookup(7, 400), Some(450));
+    }
+
+    /// Asserts that every occupied slot's exact key is in the order
+    /// and that stale keys never outgrow the table twice over.
+    fn assert_ordered(m: &Mshr) {
+        assert!(m.order.len() <= 2 * m.lines.len() + 1);
+        for slot in 0..m.lines.len() {
+            if m.lines[slot] != 0 {
+                let key = Reverse((m.done[slot], m.lines[slot], slot as u32));
+                assert!(m.order.iter().any(|k| *k == key), "slot {slot} unordered");
+            }
+        }
+    }
+
+    #[test]
+    fn order_tracks_every_release_and_overwrite() {
+        // Lazy releases, overwrites that move a fill earlier or later,
+        // reclaims and evictions all keep every live key ordered.
+        let mut m = Mshr::new(8);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut now = 0;
+        for _ in 0..4_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            now += state % 4;
+            let line = (state >> 8) % 20;
+            if state & 1 == 0 {
+                m.insert(line, now + 1 + (state >> 16) % 60, now);
+            } else {
+                let _ = m.lookup(line, now);
+            }
+            assert_ordered(&m);
+        }
     }
 
     #[test]
