@@ -37,6 +37,20 @@ pub enum ConfigError {
     /// Ray-path prediction is enabled but its table has no entries
     /// (`predict != Off` with `predictor_entries == 0`).
     ZeroPredictorEntries,
+    /// The GPU has no SMs (`sm_count() == 0`), so no warp can be
+    /// placed.
+    ZeroSms,
+    /// The RT unit's warp buffer has no entries
+    /// (`warp_buffer_size == 0`).
+    ZeroWarpBuffer,
+    /// The LBU subwarp scope is not 4, 8, 16 or 32 threads.
+    InvalidSubwarp {
+        /// The requested `subwarp_size`.
+        size: usize,
+    },
+    /// No thread block may be resident on an SM
+    /// (`max_tbs_per_sm == 0`), so no warp would ever activate.
+    ZeroTbsPerSm,
     /// A spatial-query shader was requested on a scene without a
     /// matching query domain: `knn`/`rad` need
     /// [`Scene::query`](cooprt_scenes::Scene::query) populated, and
@@ -60,6 +74,16 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroPredictorEntries => {
                 write!(f, "the predictor needs at least one table entry")
+            }
+            ConfigError::ZeroSms => write!(f, "the GPU needs at least one SM"),
+            ConfigError::ZeroWarpBuffer => {
+                write!(f, "the RT unit's warp buffer needs at least one entry")
+            }
+            ConfigError::InvalidSubwarp { size } => {
+                write!(f, "subwarp size must be 4, 8, 16 or 32, got {size}")
+            }
+            ConfigError::ZeroTbsPerSm => {
+                write!(f, "each SM must hold at least one thread block")
             }
             ConfigError::QueryDomainMismatch { shader } => {
                 write!(
@@ -308,6 +332,7 @@ pub struct Simulation<'s> {
     tracer: Tracer,
     checker: Checker,
     recorder: Recorder,
+    dense: bool,
 }
 
 impl<'s> Simulation<'s> {
@@ -323,7 +348,19 @@ impl<'s> Simulation<'s> {
             tracer: Tracer::disabled(),
             checker: Checker::disabled(),
             recorder: Recorder::disabled(),
+            dense: false,
         }
+    }
+
+    /// Differential-testing reference: step every SM on every cycle
+    /// instead of skipping the SMs whose next event lies in the future.
+    /// The result must be bitwise the skipping engine's, since a
+    /// skipped step is a no-op; `cooprt-check`'s `stepcheck` oracle
+    /// holds the engine to that.
+    #[doc(hidden)]
+    pub fn with_dense_stepping(mut self) -> Self {
+        self.dense = true;
+        self
     }
 
     /// Installs a sim-time event tracer: each frame's [`Probe`] emits
@@ -395,13 +432,8 @@ impl<'s> Simulation<'s> {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::ZeroSamples`] if `spp == 0`,
-    /// [`ConfigError::EmptyFrame`] if the frame has zero pixels,
-    /// [`ConfigError::ZeroReorderBuckets`] if reordering is enabled
-    /// without sort buckets, [`ConfigError::ZeroPredictorEntries`] if
-    /// ray-path prediction is enabled without table entries, and
-    /// [`ConfigError::QueryDomainMismatch`] if `kind` is a query
-    /// shader the scene cannot answer.
+    /// Returns [`ConfigError::ZeroSamples`] if `spp == 0`, and
+    /// otherwise every error [`Simulation::run_frame`] returns.
     pub fn run_accumulated(
         &self,
         kind: ShaderKind,
@@ -417,13 +449,8 @@ impl<'s> Simulation<'s> {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::ZeroSamples`] if `spp == 0`,
-    /// [`ConfigError::EmptyFrame`] if the frame has zero pixels,
-    /// [`ConfigError::ZeroReorderBuckets`] if reordering is enabled
-    /// without sort buckets, [`ConfigError::ZeroPredictorEntries`] if
-    /// ray-path prediction is enabled without table entries, and
-    /// [`ConfigError::QueryDomainMismatch`] if `kind` is a query
-    /// shader the scene cannot answer.
+    /// Returns [`ConfigError::ZeroSamples`] if `spp == 0`, and
+    /// otherwise every error [`Simulation::run_frame`] returns.
     pub fn run_accumulated_with_threads(
         &self,
         kind: ShaderKind,
@@ -475,10 +502,13 @@ impl<'s> Simulation<'s> {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::EmptyFrame`] if `width * height == 0`,
+    /// Returns [`ConfigError::EmptyFrame`] if `width * height == 0`;
+    /// [`ConfigError::ZeroSms`], [`ConfigError::ZeroWarpBuffer`],
+    /// [`ConfigError::InvalidSubwarp`] or [`ConfigError::ZeroTbsPerSm`]
+    /// for a GPU the engine cannot run;
     /// [`ConfigError::ZeroReorderBuckets`] if reordering is enabled
-    /// without sort buckets, [`ConfigError::ZeroPredictorEntries`] if
-    /// ray-path prediction is enabled without table entries, and
+    /// without sort buckets; [`ConfigError::ZeroPredictorEntries`] if
+    /// ray-path prediction is enabled without table entries; and
     /// [`ConfigError::QueryDomainMismatch`] if `kind` is a query
     /// shader the scene cannot answer.
     pub fn run_frame(
@@ -509,11 +539,9 @@ impl<'s> Simulation<'s> {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::EmptyFrame`] if `width * height == 0`,
-    /// [`ConfigError::ZeroReorderBuckets`] if reordering is enabled
-    /// without sort buckets, and [`ConfigError::ZeroPredictorEntries`]
-    /// if ray-path prediction is enabled without table entries. Query
-    /// domains are not checked (replay never consults them).
+    /// Returns every error [`Simulation::run_frame`] returns except
+    /// [`ConfigError::QueryDomainMismatch`]: query domains are not
+    /// checked (replay never consults them).
     ///
     /// # Panics
     ///
@@ -550,10 +578,28 @@ fn validate_frame(width: usize, height: usize) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Rejects inconsistent reorder/predictor configuration with a typed
-/// error, so `RayPathPredictor::new`'s zero-size panic never fires on
-/// caller-controlled input.
+/// Rejects a configuration the engine cannot run with a typed error,
+/// before any RT unit is built: no SMs (warps are dealt out modulo the
+/// SM count), an empty warp buffer, a subwarp scope the LBU cannot
+/// split the warp into, no resident thread blocks (the frame would
+/// never finish), and inconsistent reorder/predictor settings (so
+/// `RayPathPredictor::new`'s zero-size panic never fires on
+/// caller-controlled input).
 fn validate_config(cfg: &GpuConfig) -> Result<(), ConfigError> {
+    if cfg.sm_count() == 0 {
+        return Err(ConfigError::ZeroSms);
+    }
+    if cfg.warp_buffer_size == 0 {
+        return Err(ConfigError::ZeroWarpBuffer);
+    }
+    if !matches!(cfg.subwarp_size, 4 | 8 | 16 | 32) {
+        return Err(ConfigError::InvalidSubwarp {
+            size: cfg.subwarp_size,
+        });
+    }
+    if cfg.max_tbs_per_sm == 0 {
+        return Err(ConfigError::ZeroTbsPerSm);
+    }
     if cfg.reorder != ReorderPolicy::Off && cfg.reorder_buckets == 0 {
         return Err(ConfigError::ZeroReorderBuckets);
     }
@@ -771,6 +817,8 @@ struct Engine<'s> {
     trace_latencies: TraceLatencies,
     /// Per-frame sum of every reordering pass's counters.
     reorder_stats: ReorderStats,
+    /// Step every SM on every cycle ([`Simulation::with_dense_stepping`]).
+    dense: bool,
 }
 
 impl<'s> Engine<'s> {
@@ -805,7 +853,7 @@ impl<'s> Engine<'s> {
         let sm_count = cfg.sm_count();
         let sms: Vec<Sm> = (0..sm_count)
             .map(|i| Sm {
-                rt: RtUnit::for_config(i, &cfg, sim.policy),
+                rt: RtUnit::new(i, &cfg, sim.policy),
                 queue: VecDeque::new(),
                 running: Vec::new(),
             })
@@ -838,6 +886,7 @@ impl<'s> Engine<'s> {
             slowest_warp: 0,
             trace_latencies: TraceLatencies::new(),
             reorder_stats: ReorderStats::default(),
+            dense: sim.dense,
         }
     }
 
@@ -1011,7 +1060,11 @@ impl<'s> Engine<'s> {
             if unfinished == 0 {
                 break;
             }
-            let next = self.next_time(now);
+            let next = if self.dense {
+                now + 1
+            } else {
+                self.next_time(now)
+            };
             debug_assert!(next > now);
             // Take any interval samples that fall inside the skipped
             // window — state is constant while no SM acts.
@@ -1032,7 +1085,7 @@ impl<'s> Engine<'s> {
             // nothing to do this cycle: stepping it would be a no-op
             // (the cache is recomputed whenever the SM's state changes,
             // and nothing outside its own step section mutates it).
-            if self.sm_next[sm_idx] > now {
+            if self.sm_next[sm_idx] > now && !self.dense {
                 continue;
             }
             // Activate queued thread blocks up to the per-SM limit.
@@ -1057,7 +1110,8 @@ impl<'s> Engine<'s> {
                 self.sms[sm_idx].running.push(w);
             }
 
-            // Phase transitions.
+            // Phase transitions; `reap` notes a warp that finished.
+            let mut reap = false;
             for i in 0..self.sms[sm_idx].running.len() {
                 let w = self.sms[sm_idx].running[i];
                 match self.warps[w].phase {
@@ -1072,6 +1126,7 @@ impl<'s> Engine<'s> {
                         } else {
                             self.warps[w].phase = Phase::Done;
                             self.warps[w].finished = now;
+                            reap = true;
                         }
                     }
                     _ => {}
@@ -1082,6 +1137,7 @@ impl<'s> Engine<'s> {
                         // warps): skip straight to done.
                         self.warps[w].phase = Phase::Done;
                         self.warps[w].finished = now;
+                        reap = true;
                     } else if self.sms[sm_idx].rt.has_free_slot() {
                         let query = self.build_query(w);
                         self.recorder.record_issue(
@@ -1117,31 +1173,37 @@ impl<'s> Engine<'s> {
             self.retired_buf.clear();
 
             // Reap finished warps.
-            let warps = &self.warps;
-            let probe = &mut self.probe;
-            let before = self.sms[sm_idx].running.len();
-            let mut slowest = self.slowest_warp;
-            self.sms[sm_idx].running.retain(|&w| {
-                if warps[w].phase == Phase::Done {
-                    slowest = slowest.max(warps[w].finished.saturating_sub(warps[w].started));
-                    probe.emit(now, || EventKind::WarpRetire {
-                        sm: sm_idx as u32,
-                        warp: w as u32,
-                    });
-                    false
-                } else {
-                    true
-                }
-            });
-            self.slowest_warp = slowest;
-            finished += before - self.sms[sm_idx].running.len();
+            if reap {
+                let warps = &self.warps;
+                let probe = &mut self.probe;
+                let before = self.sms[sm_idx].running.len();
+                let mut slowest = self.slowest_warp;
+                self.sms[sm_idx].running.retain(|&w| {
+                    if warps[w].phase == Phase::Done {
+                        slowest = slowest.max(warps[w].finished.saturating_sub(warps[w].started));
+                        probe.emit(now, || EventKind::WarpRetire {
+                            sm: sm_idx as u32,
+                            warp: w as u32,
+                        });
+                        false
+                    } else {
+                        true
+                    }
+                });
+                self.slowest_warp = slowest;
+                finished += before - self.sms[sm_idx].running.len();
+            }
 
             // Refresh this SM's next-event cache now that its step is
             // complete; it stays valid until the SM is stepped again.
-            let t = self.sm_next_time(sm_idx, now);
-            self.sm_next[sm_idx] = t;
-            if t != u64::MAX {
-                self.wake.push(t, sm_idx as u32);
+            // The dense reference steps every SM anyway and never
+            // consults it.
+            if !self.dense {
+                let t = self.sm_next_time(sm_idx, now);
+                self.sm_next[sm_idx] = t;
+                if t != u64::MAX {
+                    self.wake.push(t, sm_idx as u32);
+                }
             }
         }
 
@@ -1223,7 +1285,7 @@ impl<'s> Engine<'s> {
                 _ => {}
             }
         }
-        if let Some(t) = sm.rt.next_event(now + 1, self.cfg.subwarp_size) {
+        if let Some(t) = sm.rt.next_event(now + 1) {
             next = next.min(t.max(now + 1));
         }
         next
@@ -2197,6 +2259,91 @@ mod tests {
             ConfigError::ZeroReorderBuckets.to_string(),
             "ray reordering needs at least one sort bucket"
         );
+    }
+
+    /// Every entry point rejects `cfg` with `expected` under both
+    /// policies, before an engine is built.
+    fn assert_config_rejected(cfg: &GpuConfig, expected: ConfigError) {
+        let scene = SceneId::Wknd.build(1);
+        for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
+            let sim = Simulation::new(&scene, cfg, policy);
+            assert_eq!(
+                sim.run_frame(ShaderKind::PathTrace, 8, 8).unwrap_err(),
+                expected
+            );
+            assert_eq!(
+                sim.run_accumulated(ShaderKind::PathTrace, 8, 8, 2)
+                    .unwrap_err(),
+                expected
+            );
+            assert_eq!(
+                sim.run_accumulated_with_threads(ShaderKind::PathTrace, 8, 8, 2, 1)
+                    .unwrap_err(),
+                expected
+            );
+            let replay = sim.replay_frame(
+                ShaderKind::PathTrace,
+                8,
+                8,
+                vec![Vec::new(); 64],
+                vec![Rgb::BLACK; 64],
+            );
+            assert_eq!(replay.unwrap_err(), expected);
+        }
+    }
+
+    #[test]
+    fn zero_sms_rejected() {
+        assert_config_rejected(&GpuConfig::small(0), ConfigError::ZeroSms);
+        assert_eq!(
+            ConfigError::ZeroSms.to_string(),
+            "the GPU needs at least one SM"
+        );
+    }
+
+    #[test]
+    fn zero_warp_buffer_rejected() {
+        let mut cfg = GpuConfig::small(1);
+        cfg.warp_buffer_size = 0;
+        assert_config_rejected(&cfg, ConfigError::ZeroWarpBuffer);
+    }
+
+    #[test]
+    fn invalid_subwarp_rejected() {
+        for size in [0, 1, 2, 5, 12, 64] {
+            let mut cfg = GpuConfig::small(1);
+            cfg.subwarp_size = size;
+            assert_config_rejected(&cfg, ConfigError::InvalidSubwarp { size });
+        }
+        assert_eq!(
+            ConfigError::InvalidSubwarp { size: 5 }.to_string(),
+            "subwarp size must be 4, 8, 16 or 32, got 5"
+        );
+    }
+
+    #[test]
+    fn zero_tbs_per_sm_rejected() {
+        let mut cfg = GpuConfig::small(1);
+        cfg.max_tbs_per_sm = 0;
+        assert_config_rejected(&cfg, ConfigError::ZeroTbsPerSm);
+    }
+
+    #[test]
+    fn dense_stepping_reproduces_the_skipping_engine() {
+        let scene = SceneId::Wknd.build(1);
+        let cfg = GpuConfig::small(2);
+        for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
+            let sim = Simulation::new(&scene, &cfg, policy);
+            let sparse = sim.run_frame(ShaderKind::PathTrace, 8, 8).unwrap();
+            let dense = sim
+                .clone()
+                .with_dense_stepping()
+                .run_frame(ShaderKind::PathTrace, 8, 8)
+                .unwrap();
+            assert_eq!(dense.cycles, sparse.cycles, "{policy:?}");
+            assert_eq!(dense.image, sparse.image, "{policy:?}");
+            assert_eq!(dense.intervals.samples, sparse.intervals.samples);
+        }
     }
 
     #[test]

@@ -138,9 +138,59 @@ pub fn find_pairs(can_help: u32, needs_help: u32, subwarp_size: usize) -> LbuPai
     pairs
 }
 
+/// True if [`find_pairs`] would find at least one pair: some subwarp
+/// holds both a thread that can help and one that needs help.
+///
+/// Each subwarp's bits are folded onto its lowest bit, so the answer
+/// takes a few shifts instead of a walk over the groups. `subwarp_size`
+/// must be 4, 8, 16 or 32 (the simulation entry points reject any
+/// other size before an RT unit is built).
+pub(crate) fn has_pair(can_help: u32, needs_help: u32, subwarp_size: usize) -> bool {
+    debug_assert!(matches!(subwarp_size, 4 | 8 | 16 | 32));
+    if subwarp_size == WARP_SIZE {
+        return can_help != 0 && needs_help != 0;
+    }
+    let fold = |mut mask: u32| {
+        let mut shift = 1;
+        while shift < subwarp_size {
+            mask |= mask >> shift;
+            shift <<= 1;
+        }
+        mask
+    };
+    // Bit `g * subwarp_size` set for every group `g`.
+    let group_bases = match subwarp_size {
+        4 => 0x1111_1111,
+        8 => 0x0101_0101,
+        16 => 0x0001_0001,
+        _ => 1,
+    };
+    fold(can_help) & fold(needs_help) & group_bases != 0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn has_pair_agrees_with_find_pairs() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Sparse masks, so both answers occur at every size.
+            let busy = (state as u32) & ((state >> 32) as u32) & ((state >> 16) as u32);
+            let needs = busy & (state >> 40) as u32;
+            for size in [4, 8, 16, 32] {
+                assert_eq!(
+                    has_pair(!busy, needs, size),
+                    !find_pairs(!busy, needs, size).is_empty(),
+                    "busy {busy:#x}, needs {needs:#x}, subwarp {size}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn no_work_no_pairs() {

@@ -22,7 +22,7 @@
 use crate::config::{
     GpuConfig, StealPosition, SubwarpMode, TraversalOrder, TraversalPolicy, WARP_SIZE,
 };
-use crate::lbu::{find_pairs, LbuPair};
+use crate::lbu::{find_pairs, has_pair, LbuPair};
 use crate::predictor::{PredictPolicy, PredictorStats, RayPathPredictor};
 use cooprt_bvh::NodeKind;
 use cooprt_gpu::{EnergyEvents, EventCalendar, MemoryHierarchy};
@@ -200,10 +200,6 @@ impl ThreadArray {
         self.nonempty | self.pending_mask
     }
 
-    fn drained(&self) -> bool {
-        self.busy_mask() == 0
-    }
-
     /// Threads with a non-empty stack and no outstanding fetch. The
     /// per-thread `ready_at` gate still applies on top of this mask.
     fn issue_candidates(&self) -> u32 {
@@ -295,10 +291,34 @@ struct Slot {
     predict_live: u32,
 }
 
-impl Slot {
-    fn drained(&self) -> bool {
-        self.threads.drained()
-    }
+/// What the schedulers need to know about one warp-buffer slot.
+///
+/// Picking a warp, picking an LBU slot, the retire sweep and the
+/// next-event query read these three facts instead of re-deriving them
+/// from the slot's 32-thread masks. [`RtUnit::refresh`] recomputes a
+/// slot's summary whenever a step changed its masks (a dispatch, a
+/// response, a fetch, an LBU move, a ray-path restart), so it is always
+/// current between those changes; with the checker on, every slot's
+/// summary is re-derived and compared after each `issue` and `step`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct SlotSummary {
+    /// Earliest `ready_at` over the slot's issue candidates (non-empty
+    /// stack, no fetch in flight); `u64::MAX` when there are none.
+    ready: u64,
+    /// The LBU finds a helper/main pair in the slot (never under the
+    /// baseline policy).
+    pairable: bool,
+    /// Every thread drained: the warp retires this cycle.
+    drained: bool,
+}
+
+impl SlotSummary {
+    /// The summary of a free slot: nothing to issue, pair or retire.
+    const FREE: SlotSummary = SlotSummary {
+        ready: u64::MAX,
+        pairable: false,
+        drained: false,
+    };
 }
 
 /// The RT unit of one SM.
@@ -307,7 +327,14 @@ pub struct RtUnit {
     sm_id: usize,
     /// Baseline or CoopRT: whether the LBU runs.
     policy: TraversalPolicy,
+    /// LBU subwarp scope, from the configuration the unit was built
+    /// with.
+    subwarp: usize,
     slots: Vec<Option<Slot>>,
+    /// Schedule summary per slot ([`SlotSummary::FREE`] when empty).
+    summary: Vec<SlotSummary>,
+    /// Number of occupied slots.
+    occupied: usize,
     /// Pending memory responses, keyed on their ready cycle. The
     /// calendar pops same-cycle responses in issue order, matching the
     /// sequence-numbered heap it replaced.
@@ -333,39 +360,47 @@ pub struct RtUnit {
 }
 
 impl RtUnit {
-    /// Creates an RT unit with `warp_buffer_size` warp-buffer entries
-    /// traversing under `policy` (no ray-path predictor).
-    pub fn new(sm_id: usize, warp_buffer_size: usize, policy: TraversalPolicy) -> Self {
-        assert!(warp_buffer_size > 0, "warp buffer needs at least one entry");
+    /// Creates the RT unit of SM `sm_id` configured per `cfg` (its
+    /// warp-buffer size, LBU subwarp scope and optional ray-path
+    /// prediction table), traversing under `policy`. The unit keeps
+    /// the subwarp scope for its lifetime; the `cfg` later passed to
+    /// [`RtUnit::step`] supplies the remaining timing knobs.
+    ///
+    /// The simulation entry points reject a configuration this
+    /// constructor cannot build with a typed
+    /// [`ConfigError`](crate::ConfigError) before any unit exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.warp_buffer_size` is 0, if `cfg.subwarp_size` is
+    /// not 4, 8, 16 or 32, or if the ray-path predictor is enabled with
+    /// no table entries.
+    pub fn new(sm_id: usize, cfg: &GpuConfig, policy: TraversalPolicy) -> Self {
+        assert!(
+            cfg.warp_buffer_size > 0,
+            "warp buffer needs at least one entry"
+        );
+        assert!(
+            matches!(cfg.subwarp_size, 4 | 8 | 16 | 32),
+            "subwarp size must be 4, 8, 16 or 32 (got {})",
+            cfg.subwarp_size
+        );
         RtUnit {
             sm_id,
             policy,
-            slots: vec![None; warp_buffer_size],
+            subwarp: cfg.subwarp_size,
+            slots: vec![None; cfg.warp_buffer_size],
+            summary: vec![SlotSummary::FREE; cfg.warp_buffer_size],
+            occupied: 0,
             responses: EventCalendar::new(),
             rr: 0,
             group_rr: 0,
-            path_predictor: None,
+            path_predictor: (cfg.predict == PredictPolicy::RayPath)
+                .then(|| RayPathPredictor::new(cfg.predictor_entries)),
             thread_pool: Vec::new(),
             events: EnergyEvents::default(),
             rays_issued: 0,
         }
-    }
-
-    /// Creates an RT unit configured per `cfg` (warp-buffer size and
-    /// the optional ray-path prediction table), traversing under
-    /// `policy`.
-    ///
-    /// `cfg.predictor_entries == 0` with the predictor enabled is
-    /// rejected by the simulation entry points with a typed
-    /// [`ConfigError::ZeroPredictorEntries`](crate::ConfigError), so
-    /// the table constructor's zero-size panic is unreachable from the
-    /// engine.
-    pub fn for_config(sm_id: usize, cfg: &GpuConfig, policy: TraversalPolicy) -> Self {
-        let mut unit = Self::new(sm_id, cfg.warp_buffer_size, policy);
-        if cfg.predict == PredictPolicy::RayPath {
-            unit.path_predictor = Some(RayPathPredictor::new(cfg.predictor_entries));
-        }
-        unit
     }
 
     /// Ray-path prediction-table counters, when the table is enabled.
@@ -375,12 +410,112 @@ impl RtUnit {
 
     /// True if a warp-buffer entry is free.
     pub fn has_free_slot(&self) -> bool {
-        self.slots.iter().any(|s| s.is_none())
+        self.occupied < self.slots.len()
     }
 
     /// Number of occupied warp-buffer entries.
     pub fn occupied(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.occupied
+    }
+
+    /// Earliest `ready_at` over the threads in `mask` (`u64::MAX` for
+    /// none).
+    fn earliest(threads: &ThreadArray, mut mask: u32) -> u64 {
+        let mut ready = u64::MAX;
+        while mask != 0 {
+            let tid = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            ready = ready.min(threads.ready_at[tid]);
+        }
+        ready
+    }
+
+    /// The summary of `slot` whose issue candidates are ready at
+    /// `ready` at the earliest.
+    fn summary_with(&self, slot: &Slot, ready: u64) -> SlotSummary {
+        let (can, needs) = Self::lbu_masks(slot);
+        SlotSummary {
+            ready,
+            pairable: self.policy == TraversalPolicy::CoopRt && has_pair(can, needs, self.subwarp),
+            drained: slot.threads.busy_mask() == 0,
+        }
+    }
+
+    /// Summarizes `slot` from its thread masks alone.
+    fn summarize(&self, slot: &Slot) -> SlotSummary {
+        let ready = Self::earliest(&slot.threads, slot.threads.issue_candidates());
+        self.summary_with(slot, ready)
+    }
+
+    /// The issue candidates of slot `idx` (none when it is free), read
+    /// before a change for [`RtUnit::update`].
+    fn candidates(&self, idx: usize) -> u32 {
+        self.slots[idx]
+            .as_ref()
+            .map_or(0, |slot| slot.threads.issue_candidates())
+    }
+
+    /// Brings slot `idx`'s summary up to date after a step changed its
+    /// masks; `before` is its issue-candidate mask before the change.
+    ///
+    /// Every change leaves `ready_at` alone for the threads that stay
+    /// candidates (a response re-arms only threads that were waiting on
+    /// it, and a fetch or an LBU move re-arms none), so the earliest
+    /// `ready_at` is re-read from the threads that left or joined the
+    /// candidates. Only when one that left held the earliest time are
+    /// all candidates scanned again.
+    fn update(&mut self, idx: usize, before: u32) {
+        let Some(slot) = &self.slots[idx] else {
+            self.summary[idx] = SlotSummary::FREE;
+            return;
+        };
+        let threads = &slot.threads;
+        let after = threads.issue_candidates();
+        let old = self.summary[idx].ready;
+        let ready = if Self::earliest(threads, before & !after) == old {
+            Self::earliest(threads, after)
+        } else {
+            old.min(Self::earliest(threads, after & !before))
+        };
+        self.summary[idx] = self.summary_with(slot, ready);
+    }
+
+    /// The first slot whose cached summary or occupancy disagrees with
+    /// its thread masks: `(slot, cached, derived)`.
+    fn stale_summary(&self) -> Option<(usize, SlotSummary, SlotSummary)> {
+        self.slots.iter().enumerate().find_map(|(i, slot)| {
+            let derived = slot
+                .as_ref()
+                .map_or(SlotSummary::FREE, |s| self.summarize(s));
+            (derived != self.summary[i]).then_some((i, self.summary[i], derived))
+        })
+    }
+
+    /// Checker only: re-derives every slot's summary, and the occupied
+    /// count, from the thread masks and reports any cached value that
+    /// went stale.
+    fn check_summaries(&self, now: u64, probe: &mut Probe) {
+        let sm = self.sm_id;
+        probe.check(
+            now,
+            || self.stale_summary().is_none(),
+            || match self.stale_summary() {
+                Some((i, cached, derived)) => format!(
+                    "RT unit {sm}: slot {i} summary is {cached:?}, its thread masks give {derived:?}"
+                ),
+                None => unreachable!("the check failed, so a summary is stale"),
+            },
+        );
+        probe.check(
+            now,
+            || self.occupied == self.slots.iter().flatten().count(),
+            || {
+                format!(
+                    "RT unit {sm}: occupied count {} disagrees with the warp buffer",
+                    self.occupied
+                )
+            },
+        );
     }
 
     /// Dispatches a `trace_ray` instruction into a free warp-buffer
@@ -390,9 +525,14 @@ impl RtUnit {
     ///
     /// Returns `false` (and does nothing) if the warp buffer is full.
     pub fn issue(&mut self, query: TraceQuery, now: u64, scene: &Scene, probe: &mut Probe) -> bool {
-        let Some(free) = self.slots.iter().position(|s| s.is_none()) else {
+        if !self.has_free_slot() {
             return false;
-        };
+        }
+        let free = self
+            .slots
+            .iter()
+            .position(|s| s.is_none())
+            .expect("a slot is free");
         self.events.trace_instructions += 1;
         self.rays_issued += query.rays.iter().flatten().count() as u64;
         // Reuse a retired warp's thread array (and its stacks' capacity)
@@ -481,7 +621,10 @@ impl RtUnit {
                 }
             }
         }
+        self.summary[free] = self.summarize(&slot);
         self.slots[free] = Some(slot);
+        self.occupied += 1;
+        self.check_summaries(now, probe);
         true
     }
 
@@ -503,6 +646,8 @@ impl RtUnit {
             if slot.predict_live == 0 {
                 continue;
             }
+            let before = slot.threads.issue_candidates();
+            let mut restarted = false;
             // Which rays still have traversal work, counting helper
             // threads that adopted the ray through the LBU.
             let mut ray_busy = [false; WARP_SIZE];
@@ -560,6 +705,7 @@ impl RtUnit {
                         slot.threads.main_tid[carrier] = mt as u8;
                         slot.threads.push(carrier, parent);
                         busy |= 1 << carrier;
+                        restarted = true;
                         self.events.stack_ops += 1;
                     }
                     None => {
@@ -568,6 +714,9 @@ impl RtUnit {
                         slot.predict_live -= 1;
                     }
                 }
+            }
+            if restarted {
+                self.update(s, before);
             }
         }
     }
@@ -596,7 +745,9 @@ impl RtUnit {
                 sm: sm as u32,
                 addr,
             });
+            let before = self.candidates(slot);
             self.process_response((slot, addr), now, mem, scene, cfg, probe);
+            self.update(slot, before);
         }
 
         // 2–3. Warp scheduler + memory scheduler: one coalesced node
@@ -611,9 +762,10 @@ impl RtUnit {
         // or, if no warp could issue memory, on any warp with a
         // helper/main pair.
         if self.policy == TraversalPolicy::CoopRt {
-            let lbu_slot = chosen.or_else(|| self.pick_lbu_slot(cfg.subwarp_size));
-            if let Some(s) = lbu_slot {
+            if let Some(s) = chosen.or_else(|| self.pick_lbu_slot()) {
+                let before = self.candidates(s);
                 self.run_lbu(s, cfg, now, probe);
+                self.update(s, before);
             }
         }
 
@@ -623,9 +775,10 @@ impl RtUnit {
 
         // 5. Retire drained warps.
         for s in 0..self.slots.len() {
-            let drained = matches!(&self.slots[s], Some(slot) if slot.drained());
-            if drained {
-                let mut slot = self.slots[s].take().expect("checked above");
+            if self.summary[s].drained {
+                let mut slot = self.slots[s].take().expect("a drained slot is occupied");
+                self.summary[s] = SlotSummary::FREE;
+                self.occupied -= 1;
                 probe.emit(now, || EventKind::TraceEnd {
                     sm: self.sm_id as u32,
                     warp: slot.warp as u32,
@@ -645,34 +798,24 @@ impl RtUnit {
                 self.thread_pool.push(slot.threads);
             }
         }
+        self.check_summaries(now, probe);
     }
 
     /// Earliest cycle (>= `now`) at which this unit can make progress,
     /// or `None` if it is empty. Used for cycle skipping.
-    pub fn next_event(&self, now: u64, subwarp: usize) -> Option<u64> {
-        let mut earliest: Option<u64> = None;
-        let mut relax = |t: u64| {
+    pub fn next_event(&self, now: u64) -> Option<u64> {
+        let mut earliest = self.responses.peek_min().map(|t| t.max(now));
+        for s in &self.summary {
+            // A pairable slot can move an LBU node, and a drained one
+            // retires, right away.
+            let t = if s.pairable || s.drained {
+                now
+            } else if s.ready != u64::MAX {
+                s.ready.max(now)
+            } else {
+                continue;
+            };
             earliest = Some(earliest.map_or(t, |e| e.min(t)));
-        };
-        if let Some(ready) = self.responses.peek_min() {
-            relax(ready.max(now));
-        }
-        for slot in self.slots.iter().flatten() {
-            let mut cand = slot.threads.issue_candidates();
-            while cand != 0 {
-                let tid = cand.trailing_zeros() as usize;
-                cand &= cand - 1;
-                relax(slot.threads.ready_at[tid].max(now));
-            }
-            if self.policy == TraversalPolicy::CoopRt {
-                let (can, needs) = Self::lbu_masks(slot);
-                if !find_pairs(can, needs, subwarp).is_empty() {
-                    relax(now);
-                }
-            }
-            if slot.drained() {
-                relax(now); // retire is pending
-            }
         }
         earliest
     }
@@ -699,21 +842,17 @@ impl RtUnit {
             .map(|s| s.threads.busy_mask())
     }
 
+    /// Round-robin from the cursor: the first slot with a thread ready
+    /// to issue at `now`.
     fn pick_warp(&mut self, now: u64) -> Option<usize> {
-        let n = self.slots.len();
-        for k in 0..n {
-            let idx = (self.rr + k) % n;
-            if let Some(slot) = &self.slots[idx] {
-                let mut cand = slot.threads.issue_candidates();
-                while cand != 0 {
-                    let tid = cand.trailing_zeros() as usize;
-                    if slot.threads.ready_at[tid] <= now {
-                        self.rr = (idx + 1) % n;
-                        return Some(idx);
-                    }
-                    cand &= cand - 1;
-                }
+        let n = self.summary.len();
+        let mut idx = self.rr;
+        for _ in 0..n {
+            if self.summary[idx].ready <= now {
+                self.rr = if idx + 1 == n { 0 } else { idx + 1 };
+                return Some(idx);
             }
+            idx = if idx + 1 == n { 0 } else { idx + 1 };
         }
         None
     }
@@ -746,6 +885,8 @@ impl RtUnit {
         }
         let addr = addr.expect("scheduler guaranteed an eligible thread");
         let mut coalesced = 0u32;
+        // Earliest `ready_at` of the candidates the fetch leaves behind.
+        let mut rest = u64::MAX;
         let mut m = eligible;
         while m != 0 {
             let tid = m.trailing_zeros() as usize;
@@ -756,8 +897,16 @@ impl RtUnit {
                 slot.threads.set_pending(tid, addr);
                 self.events.stack_ops += 1;
                 coalesced += 1;
+            } else {
+                rest = rest.min(slot.threads.ready_at[tid]);
             }
         }
+        // The fetch turned the coalesced threads from candidates into
+        // waiters: the slot's busy mask, and so `drained`, is unchanged,
+        // and `ready` is the earliest of the rest. `pairable` may have
+        // changed with the stacks; the LBU, which runs on this slot
+        // under CoopRT, brings it up to date.
+        self.summary[slot_idx].ready = rest;
         let warp = slot.warp as u32;
         let bytes = scene
             .image
@@ -941,16 +1090,9 @@ impl RtUnit {
         (!slot.threads.busy_mask(), slot.threads.nonempty)
     }
 
-    fn pick_lbu_slot(&self, subwarp: usize) -> Option<usize> {
-        self.slots.iter().enumerate().find_map(|(i, s)| {
-            let slot = s.as_ref()?;
-            let (can, needs) = Self::lbu_masks(slot);
-            if find_pairs(can, needs, subwarp).is_empty() {
-                None
-            } else {
-                Some(i)
-            }
-        })
+    /// The lowest-numbered slot with a helper/main pair.
+    fn pick_lbu_slot(&self) -> Option<usize> {
+        self.summary.iter().position(|s| s.pairable)
     }
 
     fn run_lbu(&mut self, slot_idx: usize, cfg: &GpuConfig, now: u64, probe: &mut Probe) {
@@ -959,24 +1101,19 @@ impl RtUnit {
                 .as_ref()
                 .expect("LBU picked occupied slot");
             let (can, needs) = Self::lbu_masks(slot);
-            let mut pairs = find_pairs(can, needs, cfg.subwarp_size);
+            let mut pairs = find_pairs(can, needs, self.subwarp);
             if pairs.is_empty() {
                 break;
             }
             if cfg.subwarp_mode == SubwarpMode::OneGroup && pairs.len() > 1 {
                 // The subwarp scheduler services one suitable group per
                 // cycle, round-robin over groups.
-                let groups = WARP_SIZE / cfg.subwarp_size;
+                let groups = WARP_SIZE / self.subwarp;
                 let chosen = (0..groups)
                     .map(|k| (self.group_rr + k) % groups)
-                    .find_map(|g| {
-                        pairs
-                            .iter()
-                            .copied()
-                            .find(|p| p.helper / cfg.subwarp_size == g)
-                    })
+                    .find_map(|g| pairs.iter().copied().find(|p| p.helper / self.subwarp == g))
                     .expect("pairs exist, so some group matches");
-                self.group_rr = (chosen.helper / cfg.subwarp_size + 1) % groups;
+                self.group_rr = (chosen.helper / self.subwarp + 1) % groups;
                 pairs = crate::lbu::LbuPairs::single(chosen);
             }
             for &pair in &pairs {
@@ -1132,7 +1269,7 @@ mod tests {
         let cfg = GpuConfig::small(1);
         let rays = warp_rays(&scene, WARP_SIZE);
         for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
-            let mut rt = RtUnit::new(0, 4, policy);
+            let mut rt = RtUnit::new(0, &cfg, policy);
             let mut m = mem();
             assert!(issue(&mut rt, TraceQuery::closest_hit(7, rays), &scene));
             let (retired, _) = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
@@ -1166,7 +1303,7 @@ mod tests {
         let rays = warp_rays(&scene, 4);
         let mut cycles = Vec::new();
         for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
-            let mut rt = RtUnit::new(0, 4, policy);
+            let mut rt = RtUnit::new(0, &cfg, policy);
             let mut m = mem();
             issue(&mut rt, TraceQuery::closest_hit(0, rays), &scene);
             let (_, t) = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
@@ -1185,7 +1322,7 @@ mod tests {
         let scene = test_scene(60);
         let cfg = GpuConfig::small(1);
         let rays = warp_rays(&scene, 2);
-        let mut rt = RtUnit::new(0, 4, TraversalPolicy::CoopRt);
+        let mut rt = RtUnit::new(0, &cfg, TraversalPolicy::CoopRt);
         let mut m = mem();
         issue(&mut rt, TraceQuery::closest_hit(0, rays), &scene);
         let _ = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
@@ -1196,7 +1333,7 @@ mod tests {
     fn baseline_never_uses_the_lbu() {
         let scene = test_scene(60);
         let cfg = GpuConfig::small(1);
-        let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
+        let mut rt = RtUnit::new(0, &cfg, TraversalPolicy::Baseline);
         let mut m = mem();
         issue(
             &mut rt,
@@ -1215,7 +1352,7 @@ mod tests {
         // one memory access.
         let ray = scene.camera.primary_ray(0.5, 0.5);
         let rays = [Some(ray); WARP_SIZE];
-        let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
+        let mut rt = RtUnit::new(0, &cfg, TraversalPolicy::Baseline);
         let mut m = mem();
         issue(&mut rt, TraceQuery::closest_hit(0, rays), &scene);
         let _ = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
@@ -1244,7 +1381,7 @@ mod tests {
         let cfg = GpuConfig::small(1);
         let rays = warp_rays(&scene, WARP_SIZE);
         let run = |any_hit: bool| {
-            let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
+            let mut rt = RtUnit::new(0, &cfg, TraversalPolicy::Baseline);
             let mut m = mem();
             let q = TraceQuery {
                 warp: 0,
@@ -1286,7 +1423,7 @@ mod tests {
         }
         let mut per_policy = Vec::new();
         for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
-            let mut rt = RtUnit::new(0, 4, policy);
+            let mut rt = RtUnit::new(0, &cfg, policy);
             let mut m = mem();
             let q = TraceQuery {
                 warp: 0,
@@ -1326,7 +1463,7 @@ mod tests {
         let rays = warp_rays(&scene, 8);
         let mut q = TraceQuery::closest_hit(0, rays);
         q.t_max = [0.01; WARP_SIZE]; // nothing is this close
-        let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
+        let mut rt = RtUnit::new(0, &cfg, TraversalPolicy::Baseline);
         let mut m = mem();
         issue(&mut rt, q, &scene);
         let (res, _) = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
@@ -1336,7 +1473,11 @@ mod tests {
     #[test]
     fn warp_buffer_capacity_is_enforced() {
         let scene = test_scene(10);
-        let mut rt = RtUnit::new(0, 2, TraversalPolicy::Baseline);
+        let mut rt = RtUnit::new(
+            0,
+            &GpuConfig::small(1).with_warp_buffer(2),
+            TraversalPolicy::Baseline,
+        );
         let rays = warp_rays(&scene, 4);
         assert!(issue(&mut rt, TraceQuery::closest_hit(0, rays), &scene));
         assert!(issue(&mut rt, TraceQuery::closest_hit(1, rays), &scene));
@@ -1354,7 +1495,7 @@ mod tests {
         for r in rays.iter_mut().take(8) {
             *r = Some(Ray::new(Vec3::new(0.0, 50.0, 0.0), Vec3::Y));
         }
-        let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
+        let mut rt = RtUnit::new(0, &cfg, TraversalPolicy::Baseline);
         let mut m = mem();
         issue(&mut rt, TraceQuery::closest_hit(0, rays), &scene);
         let (res, t) = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut Probe::disabled());
@@ -1365,7 +1506,7 @@ mod tests {
     #[test]
     fn rays_issued_counts_active_threads() {
         let scene = test_scene(10);
-        let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
+        let mut rt = RtUnit::new(0, &GpuConfig::small(1), TraversalPolicy::Baseline);
         issue(
             &mut rt,
             TraceQuery::closest_hit(0, warp_rays(&scene, 5)),
@@ -1383,7 +1524,7 @@ mod tests {
     fn status_sampling_tracks_masks() {
         let scene = test_scene(40);
         let rays = warp_rays(&scene, 10);
-        let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
+        let mut rt = RtUnit::new(0, &GpuConfig::small(1), TraversalPolicy::Baseline);
         issue(&mut rt, TraceQuery::closest_hit(0, rays), &scene);
         let s = rt.sample_status();
         assert_eq!(s.total(), WARP_SIZE);
@@ -1401,7 +1542,7 @@ mod tests {
         for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
             let checker = Checker::enabled();
             let mut probe = Probe::new(&Tracer::disabled(), &checker);
-            let mut rt = RtUnit::new(0, 4, policy);
+            let mut rt = RtUnit::new(0, &cfg, policy);
             let mut m = mem();
             rt.issue(TraceQuery::closest_hit(0, rays), 0, &scene, &mut probe);
             let (retired, now) = run_to_retire(&mut rt, &mut m, &scene, &cfg, &mut probe);
@@ -1421,7 +1562,7 @@ mod tests {
         let cfg = GpuConfig::small(1);
         let checker = Checker::enabled();
         let mut probe = Probe::new(&Tracer::disabled(), &checker);
-        let mut rt = RtUnit::new(0, 4, TraversalPolicy::CoopRt);
+        let mut rt = RtUnit::new(0, &cfg, TraversalPolicy::CoopRt);
         let query = TraceQuery::closest_hit(3, warp_rays(&scene, 8));
         rt.issue(query, 0, &scene, &mut probe);
         // Threads 0..8 all pushed the root: thread 1 is busy, so pairing
@@ -1437,19 +1578,50 @@ mod tests {
     }
 
     #[test]
+    fn stale_schedule_summary_is_caught_by_the_checker() {
+        let scene = test_scene(60);
+        let cfg = GpuConfig::small(1);
+        let checker = Checker::enabled();
+        let mut probe = Probe::new(&Tracer::disabled(), &checker);
+        let mut rt = RtUnit::new(0, &cfg, TraversalPolicy::Baseline);
+        rt.issue(
+            TraceQuery::closest_hit(3, warp_rays(&scene, 8)),
+            0,
+            &scene,
+            &mut probe,
+        );
+        assert!(checker.violations().is_empty());
+        // The root fetch is ready at cycle 0; a summary claiming nothing
+        // can issue keeps the scheduler off the slot, so the step never
+        // refreshes it (the mutation: a refresh the step forgot).
+        rt.summary[0].ready = u64::MAX;
+        let mut m = mem();
+        let mut retired = Vec::new();
+        rt.step(0, &mut m, &scene, &cfg, &mut probe, &mut retired);
+        probe.finish(0);
+        let violations = checker.violations();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains("slot 0 summary") && v.contains("ready: 0")),
+            "a stale summary must be flagged, got {violations:?}"
+        );
+    }
+
+    #[test]
     fn next_event_reports_progress_opportunities() {
         let scene = test_scene(20);
         let cfg = GpuConfig::small(1);
-        let mut rt = RtUnit::new(0, 4, TraversalPolicy::Baseline);
+        let mut rt = RtUnit::new(0, &cfg, TraversalPolicy::Baseline);
         // Empty unit: no events.
-        assert_eq!(rt.next_event(0, 32), None);
+        assert_eq!(rt.next_event(0), None);
         issue(
             &mut rt,
             TraceQuery::closest_hit(0, warp_rays(&scene, 4)),
             &scene,
         );
         // Threads can issue right away.
-        assert_eq!(rt.next_event(5, 32), Some(5));
+        assert_eq!(rt.next_event(5), Some(5));
         // After issuing, the next event is the memory response.
         let mut m = mem();
         let mut retired = Vec::new();
@@ -1461,7 +1633,7 @@ mod tests {
             &mut Probe::disabled(),
             &mut retired,
         );
-        let ev = rt.next_event(6, 32);
+        let ev = rt.next_event(6);
         assert!(ev.is_some());
     }
 }

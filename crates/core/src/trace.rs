@@ -371,10 +371,9 @@ impl Trace {
     /// Returns [`TraceError::ConfigMismatch`] if `cfg` changes a
     /// shader-visible field (see [`Trace::check_config`]), and
     /// [`TraceError::Config`] wrapping the [`ConfigError`] that
-    /// [`Simulation::replay_frame`] returns:
-    /// [`ConfigError::ZeroReorderBuckets`] or
-    /// [`ConfigError::ZeroPredictorEntries`] for `cfg`, or
-    /// [`ConfigError::EmptyFrame`] for a hand-built zero-pixel trace.
+    /// [`Simulation::replay_frame`] returns: one of its configuration
+    /// errors for `cfg`, or [`ConfigError::EmptyFrame`] for a
+    /// hand-built zero-pixel trace.
     pub fn replay(
         &self,
         cfg: &GpuConfig,
@@ -1330,6 +1329,31 @@ mod tests {
             err.to_string(),
             "invalid replay config: ray reordering needs at least one sort bucket"
         );
+    }
+
+    #[test]
+    fn replay_rejects_a_gpu_the_engine_cannot_run() {
+        let (_, trace) = record_small(
+            SceneId::Wknd,
+            TraversalPolicy::Baseline,
+            ShaderKind::PathTrace,
+        );
+        let mut no_buffer = GpuConfig::small(2);
+        no_buffer.warp_buffer_size = 0;
+        let mut bad_subwarp = GpuConfig::small(2);
+        bad_subwarp.subwarp_size = 5;
+        let mut no_tbs = GpuConfig::small(2);
+        no_tbs.max_tbs_per_sm = 0;
+        let cases = [
+            (GpuConfig::small(0), ConfigError::ZeroSms),
+            (no_buffer, ConfigError::ZeroWarpBuffer),
+            (bad_subwarp, ConfigError::InvalidSubwarp { size: 5 }),
+            (no_tbs, ConfigError::ZeroTbsPerSm),
+        ];
+        for (cfg, expected) in cases {
+            let err = trace.replay(&cfg, TraversalPolicy::CoopRt).unwrap_err();
+            assert_eq!(err, TraceError::Config(expected));
+        }
     }
 
     #[test]

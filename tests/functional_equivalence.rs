@@ -77,7 +77,7 @@ fn rt_unit_matches_cpu_reference_for_all_policies_and_subwarps() {
     ];
     for (policy, subwarp) in cases {
         let cfg = GpuConfig::small(1).with_subwarp(subwarp);
-        let mut rt = RtUnit::new(0, cfg.warp_buffer_size, policy);
+        let mut rt = RtUnit::new(0, &cfg, policy);
         let mut mem = MemoryHierarchy::new(&cfg.mem);
         let query = TraceQuery::closest_hit(0, rays);
         assert!(rt.issue(query, 0, &scene, &mut Probe::disabled()));
@@ -127,7 +127,7 @@ fn warp_with_mixed_active_and_masked_threads_is_exact() {
     let cfg = GpuConfig::small(1);
     let rays = primary_rays(&scene, 5); // 27 masked threads
     for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
-        let mut rt = RtUnit::new(0, 4, policy);
+        let mut rt = RtUnit::new(0, &cfg, policy);
         let mut mem = MemoryHierarchy::new(&cfg.mem);
         let query = TraceQuery::closest_hit(0, rays);
         rt.issue(query, 0, &scene, &mut Probe::disabled());
@@ -159,7 +159,7 @@ fn any_hit_results_agree_with_reference_any_hit() {
     query.any_hit = true;
     query.t_max = [20.0; WARP_SIZE];
     for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
-        let mut rt = RtUnit::new(0, 4, policy);
+        let mut rt = RtUnit::new(0, &cfg, policy);
         let mut mem = MemoryHierarchy::new(&cfg.mem);
         rt.issue(query.clone(), 0, &scene, &mut Probe::disabled());
         let retired = drain_rt(&mut rt, &mut mem, &scene, &cfg);
