@@ -49,7 +49,7 @@ perfbench_smoke serve_mixed
 echo "==> simcheck --seeds 64 (differential fuzzing smoke)"
 cargo run --offline --release --example simcheck -- \
     --seeds 64 --json-seeds 256 --serve-seeds 8 --trace-seeds 8 --reorder-seeds 8 \
-    --predict-seeds 8 --query-seeds 8
+    --predict-seeds 8 --query-seeds 8 --step-seeds 8
 
 echo "==> query smoke (spatial queries on the RT unit, oracle-exact)"
 # Every run checks the simulated answers against the brute-force

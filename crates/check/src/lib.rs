@@ -37,7 +37,11 @@
 //! - [`querycheck`] fuzzes the spatial-query subsystem: kNN, radius
 //!   search and point-in-cell containment answered through the timing
 //!   model must equal a brute-force scan of the raw domain exactly,
-//!   under both traversal policies.
+//!   under both traversal policies;
+//! - [`stepcheck`] fuzzes the event-driven engine's SM skipping: a
+//!   frame must come out bitwise the same — cycles, image, every
+//!   metrics counter, event stream and timeline — as a dense reference
+//!   that steps every SM on every cycle.
 //!
 //! Everything is deterministic and dependency-free (the in-tree PRNG
 //! only), so a CI budget of seeds means the same thing on every
@@ -60,6 +64,7 @@ pub mod querycheck;
 pub mod reordercheck;
 pub mod servecache;
 pub mod shrink;
+pub mod stepcheck;
 pub mod tracecheck;
 
 pub use fuzz::{run_budget, run_case, run_seed, Failure, FuzzCase};
@@ -68,6 +73,7 @@ pub use predictcheck::{run_predict_budget, run_predict_case, run_predict_seed, P
 pub use querycheck::{run_query_budget, run_query_case, run_query_seed, QueryFailure};
 pub use reordercheck::{run_reorder_budget, run_reorder_case, run_reorder_seed, ReorderFailure};
 pub use servecache::{run_serve_budget, run_serve_seed};
+pub use stepcheck::{run_step_budget, run_step_case, run_step_seed, StepFailure};
 pub use tracecheck::{run_trace_budget, run_trace_case, run_trace_seed, TraceFailure};
 
 use std::fmt;
@@ -80,7 +86,7 @@ pub struct CheckFailure {
     /// `"json-roundtrip"`, `"json-mutation"`, `"json-adversarial"`,
     /// `"serve-cache"`, `"trace-replay"`, `"reorder-image"`,
     /// `"reorder-determinism"`, `"predict-image"`, `"predict-stats"`,
-    /// `"query-exact"`).
+    /// `"query-exact"`, `"step-dense"`).
     pub oracle: String,
     /// Human-readable description of the first divergence.
     pub detail: String,

@@ -11,7 +11,9 @@
 //! the speculation-free image bitwise with honest stats counters), and
 //! the spatial-query differential (kNN / radius / containment answers
 //! through the timing model must equal a brute-force scan of the raw
-//! domain exactly).
+//! domain exactly), and the dense-stepping differential (the engine's
+//! SM skipping must reproduce a run that steps every SM on every cycle
+//! bitwise, event stream included).
 //!
 //! ```sh
 //! # CI smoke: 64 consecutive seeds starting at 0.
@@ -20,7 +22,7 @@
 //! # Fuzz the JSON parser, the serve result cache, and record/replay too.
 //! cargo run --release --example simcheck -- --seeds 64 --json-seeds 256 \
 //!     --serve-seeds 8 --trace-seeds 16 --reorder-seeds 8 --predict-seeds 8 \
-//!     --query-seeds 8
+//!     --query-seeds 8 --step-seeds 8
 //!
 //! # Replay a failing seed reported by the fuzzer.
 //! cargo run --release --example simcheck -- --seed 12345
@@ -30,6 +32,7 @@
 //! cargo run --release --example simcheck -- --reorder-seed 12345
 //! cargo run --release --example simcheck -- --predict-seed 12345
 //! cargo run --release --example simcheck -- --query-seed 12345
+//! cargo run --release --example simcheck -- --step-seed 12345
 //! ```
 //!
 //! On failure the harness prints the shrunk, minimized configuration
@@ -38,7 +41,8 @@
 //! then exits non-zero.
 
 use cooprt_check::{
-    fuzz, jsonfuzz, predictcheck, querycheck, reordercheck, servecache, tracecheck, FuzzCase,
+    fuzz, jsonfuzz, predictcheck, querycheck, reordercheck, servecache, stepcheck, tracecheck,
+    FuzzCase,
 };
 
 struct Args {
@@ -72,6 +76,10 @@ struct Args {
     query_seed: Option<u64>,
     /// Spatial-query differential budget (0 = skip).
     query_seeds: u64,
+    /// Replay exactly this dense-stepping seed.
+    step_seed: Option<u64>,
+    /// Dense-stepping differential budget (0 = skip).
+    step_seeds: u64,
 }
 
 fn parse_args() -> Args {
@@ -91,6 +99,8 @@ fn parse_args() -> Args {
         predict_seeds: 0,
         query_seed: None,
         query_seeds: 0,
+        step_seed: None,
+        step_seeds: 0,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -126,6 +136,8 @@ fn parse_args() -> Args {
             "--predict-seeds" => args.predict_seeds = parse_u64(value(&mut i)),
             "--query-seed" => args.query_seed = Some(parse_u64(value(&mut i))),
             "--query-seeds" => args.query_seeds = parse_u64(value(&mut i)),
+            "--step-seed" => args.step_seed = Some(parse_u64(value(&mut i))),
+            "--step-seeds" => args.step_seeds = parse_u64(value(&mut i)),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: simcheck [--seed N | --seeds COUNT [--start FIRST]]\n\
@@ -135,6 +147,7 @@ fn parse_args() -> Args {
                      \x20               [--reorder-seed N | --reorder-seeds COUNT]\n\
                      \x20               [--predict-seed N | --predict-seeds COUNT]\n\
                      \x20               [--query-seed N | --query-seeds COUNT]\n\
+                     \x20               [--step-seed N | --step-seeds COUNT]\n\
                      \n\
                      --seed N          replay one seed through every simulator oracle\n\
                      --seeds COUNT     run COUNT consecutive seeds (default 64)\n\
@@ -150,7 +163,9 @@ fn parse_args() -> Args {
                      --predict-seed N  replay one ray-path predictor seed\n\
                      --predict-seeds N fuzz the ray-path predictor with N seeds (default 0)\n\
                      --query-seed N    replay one spatial-query seed\n\
-                     --query-seeds N   fuzz spatial queries with N seeds (default 0)"
+                     --query-seeds N   fuzz spatial queries with N seeds (default 0)\n\
+                     --step-seed N     replay one dense-stepping seed\n\
+                     --step-seeds N    fuzz SM skipping against dense stepping with N seeds (default 0)"
                 );
                 std::process::exit(0);
             }
@@ -218,6 +233,17 @@ fn main() {
             Ok(()) => {
                 println!("query seed {seed}: engine answers exactly match brute force")
             }
+            Err(failure) => fail(failure),
+        }
+        return;
+    }
+    if let Some(seed) = args.step_seed {
+        println!(
+            "replaying dense-stepping differential on {}",
+            FuzzCase::from_seed(seed)
+        );
+        match stepcheck::run_step_seed(seed) {
+            Ok(()) => println!("step seed {seed}: skipping engine bitwise identical to dense"),
             Err(failure) => fail(failure),
         }
         return;
@@ -299,6 +325,16 @@ fn main() {
         );
         match predictcheck::run_predict_budget(args.start, args.predict_seeds) {
             Ok(count) => println!("{count}/{count} predict seeds passed"),
+            Err(failure) => fail(failure),
+        }
+    }
+    if args.step_seeds > 0 {
+        println!(
+            "fuzzing SM skipping against dense stepping: {} seeds",
+            args.step_seeds
+        );
+        match stepcheck::run_step_budget(args.start, args.step_seeds) {
+            Ok(count) => println!("{count}/{count} step seeds passed"),
             Err(failure) => fail(failure),
         }
     }
