@@ -4,7 +4,7 @@
 
 use cooprt::core::area::{cooprt_area, overhead_fraction, warp_buffer_bits};
 use cooprt::core::{
-    FrameResult, GpuConfig, PredictPolicy, ReorderPolicy, ShaderKind, Simulation, Trace,
+    parallel, FrameResult, GpuConfig, PredictPolicy, ReorderPolicy, ShaderKind, Simulation, Trace,
     TraversalPolicy,
 };
 use cooprt::query::QueryRun;
@@ -266,12 +266,17 @@ fn cmd_compare(scene_name: &str, opts: &Options) -> Result<(), String> {
     let id = find_scene(scene_name)?;
     let scene = id.build(opts.detail);
     let cfg = opts.config();
-    let base = Simulation::new(&scene, &cfg, TraversalPolicy::Baseline)
-        .run_frame(opts.shader, opts.res, opts.res)
-        .unwrap();
-    let coop = Simulation::new(&scene, &cfg, TraversalPolicy::CoopRt)
-        .run_frame(opts.shader, opts.res, opts.res)
-        .unwrap();
+    // The two frames are independent: simulate them on two workers.
+    let frame = |policy| {
+        Simulation::new(&scene, &cfg, policy)
+            .run_frame(opts.shader, opts.res, opts.res)
+            .unwrap()
+    };
+    let (base, coop) = parallel::join(
+        parallel::threads(),
+        || frame(TraversalPolicy::Baseline),
+        || frame(TraversalPolicy::CoopRt),
+    );
     report("baseline", &scene, &cfg, &base);
     report("cooprt", &scene, &cfg, &coop);
     assert_eq!(base.image, coop.image, "policies must agree functionally");
