@@ -14,8 +14,9 @@
 #   any result line without "correct": true;
 # - judges the runs with `benchdiff --ab`: per end-to-end metric, each
 #   side's median and IQR, the change/base ratio, the pairs the change
-#   won and a verdict from BENCHMARK.json's bound and direction, printed
-#   and written as a JSON report naming both revisions, nproc and N.
+#   won and a verdict from BENCHMARK.json's bound and direction (a gain
+#   needs at least 10 pairs), printed and written as a JSON report
+#   naming both revisions, nproc and N.
 #
 # Defaults: 5 pairs, 20 s runs, all three workloads, seed 0, report
 # BENCH_ab.json. Exit 1 when a metric is worse than its bound or too

@@ -19,7 +19,9 @@
 //! `ci/bench_ab.sh` calls): RUNS holds one JSON record per perfbench
 //! run, and every `end_to_end` metric of `BENCHMARK.json` gets each
 //! side's median and IQR, the change/base ratio, the pairs the change
-//! won and a verdict. The table goes to stdout and the JSON report to
+//! won and a verdict (a gain needs at least ten pairs, better in nine
+//! tenths of them by more than the base runs' IQR). The table goes to
+//! stdout and the JSON report to
 //! `--out`; exit 1 when a metric is worse than its bound or too noisy
 //! to judge.
 //!

@@ -575,8 +575,8 @@ impl Spread {
 /// The judgement of one metric in an A/B comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AbVerdict {
-    /// Better on at least 9 in 10 pairs, and the medians differ by
-    /// more than the base runs' IQR.
+    /// At least [`MIN_GAIN_PAIRS`] pairs, better on at least 9 in 10 of
+    /// them, and the medians differ by more than the base runs' IQR.
     Gain,
     /// Neither a gain nor worse than the bound.
     Same,
@@ -598,6 +598,9 @@ impl AbVerdict {
         }
     }
 }
+
+/// Fewest pairs that can show a [`AbVerdict::Gain`].
+pub const MIN_GAIN_PAIRS: usize = 10;
 
 /// One metric of one `(workload, seed)` cell of an A/B comparison.
 #[derive(Clone, Debug, PartialEq)]
@@ -644,7 +647,10 @@ fn judge_ab(metric: &EndToEnd, base: &[f64], change: &[f64]) -> (usize, AbVerdic
         AbVerdict::Unresolved
     } else if -gain(b.median, c.median) > tolerance {
         AbVerdict::Worse
-    } else if wins * 10 >= base.len() * 9 && gain(b.median, c.median) > b.iqr {
+    } else if base.len() >= MIN_GAIN_PAIRS
+        && wins * 10 >= base.len() * 9
+        && gain(b.median, c.median) > b.iqr
+    {
         AbVerdict::Gain
     } else {
         AbVerdict::Same
@@ -1068,6 +1074,11 @@ mod tests {
             ..wall(0.25)
         };
         assert_eq!(judge_ab(&rate, &fast, &base), (10, AbVerdict::Gain));
+        // Too few pairs to show a gain, however clear.
+        assert_eq!(
+            judge_ab(&wall(0.25), &base[..9], &fast[..9]),
+            (9, AbVerdict::Same)
+        );
     }
 
     #[test]
