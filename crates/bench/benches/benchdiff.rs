@@ -13,7 +13,10 @@
 //! ```
 //!
 //! A metric path's first segment `x` reads the report `BENCH_x.json`
-//! at the repository root.
+//! at the repository root. The metric list, tolerances, and comparison
+//! semantics live in [`cooprt_bench::diff`]; this target is just the
+//! file I/O and exit code. `ci.sh` fails on exit 1 and only warns on
+//! exit 3: wall-clock values depend on the host that measured them.
 //!
 //! `--ab RUNS` judges an A/B host-time comparison instead (what
 //! `ci/bench_ab.sh` calls): RUNS holds one JSON record per perfbench
@@ -21,18 +24,14 @@
 //! side's median and IQR, the change/base ratio, the pairs the change
 //! won and a verdict (a gain needs at least ten pairs, better in nine
 //! tenths of them by more than the base runs' IQR). The table goes to
-//! stdout and the JSON report to
-//! `--out`; exit 1 when a metric is worse than its bound or too noisy
-//! to judge.
+//! stdout and the JSON report to `--out`; exit 1 when a metric is
+//! worse than its bound or too noisy to judge.
 //!
 //! ```sh
 //! cargo bench -p cooprt-bench --bench benchdiff -- --ab runs.jsonl \
 //!     --base <rev> --change <rev> --nproc 2 --pairs 10 --seconds 20 \
 //!     --out BENCH_ab.json
-//! ``` The metric list, tolerances, and comparison
-//! semantics live in [`cooprt_bench::diff`]; this target is just the
-//! file I/O and exit code. `ci.sh` fails on exit 1 and only warns on
-//! exit 3: wall-clock values depend on the host that measured them.
+//! ```
 
 use cooprt_bench::diff::{
     ab_report_json, ab_rows, default_specs, end_to_end_metrics, load_reports, render_ab, AbSetup,

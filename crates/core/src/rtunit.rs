@@ -295,11 +295,12 @@ struct Slot {
 ///
 /// Picking a warp, picking an LBU slot, the retire sweep and the
 /// next-event query read these three facts instead of re-deriving them
-/// from the slot's 32-thread masks. [`RtUnit::refresh`] recomputes a
-/// slot's summary whenever a step changed its masks (a dispatch, a
-/// response, a fetch, an LBU move, a ray-path restart), so it is always
-/// current between those changes; with the checker on, every slot's
-/// summary is re-derived and compared after each `issue` and `step`.
+/// from the slot's 32-thread masks. Every change to a slot's masks (a
+/// dispatch, a response, a fetch, an LBU move, a ray-path restart)
+/// brings its summary up to date from the threads it touched, so the
+/// summary is always current between changes; with the checker on,
+/// every slot's summary is re-derived and compared after each `issue`
+/// and `step`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct SlotSummary {
     /// Earliest `ready_at` over the slot's issue candidates (non-empty
@@ -460,10 +461,11 @@ impl RtUnit {
     ///
     /// Every change leaves `ready_at` alone for the threads that stay
     /// candidates (a response re-arms only threads that were waiting on
-    /// it, and a fetch or an LBU move re-arms none), so the earliest
-    /// `ready_at` is re-read from the threads that left or joined the
-    /// candidates. Only when one that left held the earliest time are
-    /// all candidates scanned again.
+    /// it; an LBU move or a ray-path restart re-arms none), so the
+    /// earliest `ready_at` is re-read from the threads that left or
+    /// joined the candidates. Only when one that left held the earliest
+    /// time are all candidates scanned again. (A fetch updates the
+    /// summary itself, in [`RtUnit::issue_memory`].)
     fn update(&mut self, idx: usize, before: u32) {
         let Some(slot) = &self.slots[idx] else {
             self.summary[idx] = SlotSummary::FREE;
@@ -525,14 +527,9 @@ impl RtUnit {
     ///
     /// Returns `false` (and does nothing) if the warp buffer is full.
     pub fn issue(&mut self, query: TraceQuery, now: u64, scene: &Scene, probe: &mut Probe) -> bool {
-        if !self.has_free_slot() {
+        let Some(free) = self.slots.iter().position(|s| s.is_none()) else {
             return false;
-        }
-        let free = self
-            .slots
-            .iter()
-            .position(|s| s.is_none())
-            .expect("a slot is free");
+        };
         self.events.trace_instructions += 1;
         self.rays_issued += query.rays.iter().flatten().count() as u64;
         // Reuse a retired warp's thread array (and its stacks' capacity)
