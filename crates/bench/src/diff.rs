@@ -583,7 +583,8 @@ pub enum AbVerdict {
     /// The change's median is worse than the base median by more than
     /// the bound.
     Worse,
-    /// A side's runs spread wider than the bound: too noisy to tell.
+    /// A side's runs spread wider than the bound, and not every change
+    /// run beats every base run: too noisy to tell.
     Unresolved,
 }
 
@@ -643,7 +644,10 @@ fn judge_ab(metric: &EndToEnd, base: &[f64], change: &[f64]) -> (usize, AbVerdic
         .count();
     let (b, c) = (Spread::of(base), Spread::of(change));
     let tolerance = metric.bound * b.median.abs();
-    let verdict = if b.iqr > tolerance || c.iqr > tolerance {
+    let separated = base
+        .iter()
+        .all(|&b| change.iter().all(|&c| gain(b, c) > 0.0));
+    let verdict = if (b.iqr > tolerance || c.iqr > tolerance) && !separated {
         AbVerdict::Unresolved
     } else if -gain(b.median, c.median) > tolerance {
         AbVerdict::Worse
@@ -1062,11 +1066,17 @@ mod tests {
         // 30% slower against a 25% bound: worse.
         let slow: Vec<f64> = base.iter().map(|v| v * 1.3).collect();
         assert_eq!(judge_ab(&wall(0.25), &base, &slow), (0, AbVerdict::Worse));
-        // A change whose runs spread past the bound cannot be judged.
+        // A change whose runs spread past the bound cannot be judged...
         let noisy = [5.0, 5.0, 5.0, 15.0, 15.0, 15.0, 5.0, 15.0, 10.0, 10.0];
         assert_eq!(
             judge_ab(&wall(0.25), &base, &noisy).1,
             AbVerdict::Unresolved
+        );
+        // ...unless every one of its runs beats every base run.
+        let wide_but_faster = [1.0, 1.0, 1.0, 9.0, 9.0, 9.0, 1.0, 9.0, 5.0, 5.0];
+        assert_eq!(
+            judge_ab(&wall(0.25), &base, &wide_but_faster),
+            (10, AbVerdict::Gain)
         );
         // Higher-better metrics win upwards.
         let rate = EndToEnd {
