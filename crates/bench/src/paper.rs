@@ -2,7 +2,7 @@
 //! matrix.
 //!
 //! Every table and figure of CoopRT's evaluation (Figs. 1–19, Tables
-//! 2–3), the design ablations, the §4.2/§8 extension studies and the
+//! 2–3), the design ablations, the §8 extension studies and the
 //! reordering, ray-path prediction and spatial-query studies is a
 //! [`Figure`] in [`FIGURES`]. A figure asks the runner's plan for the
 //! simulations it needs — one [`Cell`] each: scene, BVH builder,
@@ -23,8 +23,8 @@ use cooprt_core::area::{
     added_field_bits, cooprt_area, overhead_fraction, warp_buffer_bits, FLIP_FLOP_AREA_UM2,
 };
 use cooprt_core::{
-    FrameResult, GpuConfig, PredictPolicy, ReorderPolicy, ShaderKind, Simulation, StealPosition,
-    TimelineSample, TraversalOrder, TraversalPolicy, WarpTiling, WARP_SIZE,
+    FrameResult, GpuConfig, PredictPolicy, ReorderPolicy, ShaderKind, Simulation, TimelineSample,
+    TraversalPolicy, WARP_SIZE,
 };
 use cooprt_query::oracle_answers;
 use cooprt_scenes::{Scene, SceneId, PAPER_FIG17_SCENES, QUERY_SCENES};
@@ -834,10 +834,6 @@ fn ablations(k: &Knobs, p: &mut Plan) -> Finish {
     let mut per_scene = |variants: Vec<Variant>| p.per_scene(&ABLATION_SCENES, frame, &variants);
     let rates = [1, 2, 4, 8].map(|r| (rtx_with(|c| c.lbu_moves_per_cycle = r), CoopRt));
     let lbu = per_scene(over_baseline(rates));
-    let steals = [StealPosition::Top, StealPosition::Bottom];
-    let steal = per_scene(over_baseline(
-        steals.map(|s| (rtx_with(|c| c.steal_from = s), CoopRt)),
-    ));
     let elim = per_scene(over_baseline([(
         rtx_with(|c| c.node_elimination = false),
         Baseline,
@@ -858,23 +854,15 @@ fn ablations(k: &Knobs, p: &mut Plan) -> Finish {
             "expectation: mild gains past 1/cycle — the paper's 1-node LBU is near-sufficient",
         );
 
-        let mut t2 = steal.table(m, &["TOS", "bottom"], speedups);
-        t2.caption = "steal position (CoopRT speedup over baseline)".into();
-        t2.gmean_row(2);
-        t2.notes = lines(
-            "expectation: bottom-of-stack steals root larger subtrees; the paper's TOS choice\n\
-             is the cheaper hardware and (per §4.2) parallelism is insensitive to the choice",
-        );
-
-        let mut t3 = elim.table(m, &["slowdown", "tri x"], |f| {
+        let mut t2 = elim.table(m, &["slowdown", "tri x"], |f| {
             let tri = f[1].events.triangle_tests as f64 / f[0].events.triangle_tests.max(1) as f64;
             vec![speedup(f[1], f[0]), tri]
         });
-        t3.caption = "min_thit node elimination (baseline policy)".into();
-        t3.notes = lines("expectation: disabling pruning inflates traversal work substantially");
+        t2.caption = "min_thit node elimination (baseline policy)".into();
+        t2.notes = lines("expectation: disabling pruning inflates traversal work substantially");
 
-        let mut t4 = Table::new(&["slowdown", "sah dpth", "med dpth"]);
-        t4.caption = "BVH build quality: SAH vs median split (baseline policy)".into();
+        let mut t3 = Table::new(&["slowdown", "sah dpth", "med dpth"]);
+        t3.caption = "BVH build quality: SAH vs median split (baseline policy)".into();
         for ((id, sah), med) in sah.0.iter().zip(median) {
             let depth = |b| m.scene(*id, b, frame.detail).stats.depth as f64;
             let row = vec![
@@ -882,53 +870,12 @@ fn ablations(k: &Knobs, p: &mut Plan) -> Finish {
                 depth(Builder::Sah),
                 depth(Builder::Median),
             ];
-            t4.row(id.name(), row);
+            t3.row(id.name(), row);
         }
-        t4.notes =
+        t3.notes =
             lines("expectation: the SAH tree (what Embree builds for the paper) traverses faster");
-        vec![t1, t2, t3, t4]
+        vec![t1, t2, t3]
     })
-}
-
-fn ablation_tiling(k: &Knobs, p: &mut Plan) -> Finish {
-    let tiled = rtx_with(|c| c.warp_tiling = WarpTiling::Tiled8x4);
-    let cells = p.per_scene(&k.scenes, k.frame(k.res), &study(tiled, PT));
-    let row: RowFn = |f| {
-        let s = |a: usize, b: usize| speedup(f[a], f[b]);
-        vec![s(0, 2), s(0, 3), s(0, 1), s(2, 3)]
-    };
-    cells.finish(&["tile b", "tile c", "lin c", "coop gain"], row, 4, |_| {
-        lines(
-            "columns: tiled baseline / tiled coop / linear coop, all vs linear baseline;\n\
-             'coop gain' = CoopRT speedup *within* the tiled mapping. Expectation: tiles\n\
-             help the baseline via coherence, and CoopRT still wins on top of them.",
-        )
-    })
-}
-
-fn ext_bfs_traversal(k: &Knobs, p: &mut Plan) -> Finish {
-    let bfs = rtx_with(|c| c.traversal_order = TraversalOrder::Bfs);
-    let cells = p.per_scene(&k.scenes, k.frame(k.res), &study(bfs, PT));
-    let row: RowFn = |f| {
-        let work = f[2].events.box_tests as f64 / f[0].events.box_tests.max(1) as f64;
-        vec![
-            speedup(f[0], f[2]),
-            speedup(f[0], f[3]),
-            speedup(f[0], f[1]),
-            work,
-        ]
-    };
-    cells.finish(
-        &["bfs base", "bfs coop", "dfs coop", "work x"],
-        row,
-        4,
-        |_| {
-            lines(
-                "expectation: cooperative stealing helps BFS too, but DFS+CoopRT stays the\n\
-             better total design because BFS inflates traversal work ('work x' > 1)",
-            )
-        },
-    )
 }
 
 /// Plain Baseline over the changed Baseline, plain CoopRT and changed
@@ -1153,7 +1100,7 @@ fn supp_latency(k: &Knobs, p: &mut Plan) -> Finish {
 
 /// Every table and figure of the evaluation, in print order.
 #[rustfmt::skip]
-pub static FIGURES: [Figure; 25] = [
+pub static FIGURES: [Figure; 23] = [
     Figure { name: "table2_scene_stats", title: "Table 2: scene statistics", plan: table2 },
     Figure { name: "fig01_stall_breakdown", title: "Fig. 1: pipeline stall breakdown (baseline, path tracing)", plan: fig01 },
     Figure { name: "fig02_thread_activity", title: "Fig. 2: busy-thread fraction over time (baseline, path tracing)", plan: fig02 },
@@ -1170,9 +1117,7 @@ pub static FIGURES: [Figure; 25] = [
     Figure { name: "fig18_mobile", title: "Fig. 18: mobile GPU (8 SMs, 4 channels), CoopRT vs baseline", plan: fig18 },
     Figure { name: "fig19_subwarp_sweep", title: "Fig. 19: subwarp-size sweep (CoopRT over baseline)", plan: fig19 },
     Figure { name: "table3_area", title: "Table 3: area vs subwarp size (analytic gate model)", plan: table3 },
-    Figure { name: "ablations", title: "Ablations: LBU rate, steal position, node elimination", plan: ablations },
-    Figure { name: "ablation_tiling", title: "Ablation: warp tiling (linear strips vs 8x4 screen tiles)", plan: ablation_tiling },
-    Figure { name: "ext_bfs_traversal", title: "Extension: BFS cooperative traversal (normalized to DFS baseline)", plan: ext_bfs_traversal },
+    Figure { name: "ablations", title: "Ablations: LBU rate, node elimination", plan: ablations },
     Figure { name: "ext_prefetch", title: "Extension: child-node prefetching x CoopRT (normalized to baseline)", plan: ext_prefetch },
     Figure { name: "ext_compaction", title: "Comparative baseline: thread compaction vs CoopRT (path tracing)", plan: ext_compaction },
     Figure { name: "ext_reorder", title: "Extension: octant-hash ray reordering (speedup over unordered, per policy)", plan: ext_reorder },

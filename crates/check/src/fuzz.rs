@@ -2,7 +2,7 @@
 //!
 //! A [`FuzzCase`] is fully determined by a 64-bit seed: it samples a
 //! simulator configuration (cache geometry, MSHR slots, warp-buffer and
-//! subwarp sizes, DRAM channels, traversal knobs) and a small procedural
+//! subwarp sizes, LBU rate, DRAM channels) and a small procedural
 //! scene, then [`run_case`] drives every differential oracle over it:
 //!
 //! 1. the flat cache, slotted MSHR and bucketed event calendar against
@@ -17,10 +17,7 @@
 
 use crate::oracle::{self, CalendarOp, MshrOp};
 use crate::{shrink, CheckFailure};
-use cooprt_core::{
-    Checker, GpuConfig, ShaderKind, Simulation, StealPosition, SubwarpMode, TraversalOrder,
-    TraversalPolicy,
-};
+use cooprt_core::{Checker, GpuConfig, ShaderKind, Simulation, TraversalPolicy};
 use cooprt_math::{Aabb, Ray, Rgb, Vec3};
 use cooprt_scenes::{quad, scatter_clutter, Camera, Material, Scene, SceneBuilder};
 use rand::{rngs::StdRng, RngExt, SeedableRng};
@@ -50,12 +47,6 @@ pub struct FuzzCase {
     pub subwarp: usize,
     /// LBU node moves per subwarp per cycle.
     pub lbu_moves: u32,
-    /// DFS (stack) or BFS (queue) traversal.
-    pub order: TraversalOrder,
-    /// Which stack end the LBU steals from.
-    pub steal: StealPosition,
-    /// All-groups or one-group LBU servicing.
-    pub mode: SubwarpMode,
     /// Cache line size, bytes (all levels).
     pub line_bytes: u32,
     /// L1 capacity, bytes.
@@ -102,9 +93,6 @@ impl FuzzCase {
             warp_buffer: rng.random_range(1usize..7),
             subwarp: [4usize, 8, 16, 32][rng.random_range(0usize..4)],
             lbu_moves: rng.random_range(1u32..4),
-            order: [TraversalOrder::Dfs, TraversalOrder::Bfs][rng.random_range(0usize..2)],
-            steal: [StealPosition::Top, StealPosition::Bottom][rng.random_range(0usize..2)],
-            mode: [SubwarpMode::AllGroups, SubwarpMode::OneGroup][rng.random_range(0usize..2)],
             line_bytes,
             l1_bytes: l1_lines * line_bytes as u64,
             l1_assoc,
@@ -122,9 +110,6 @@ impl FuzzCase {
             .with_warp_buffer(self.warp_buffer)
             .with_subwarp(self.subwarp);
         cfg.lbu_moves_per_cycle = self.lbu_moves;
-        cfg.traversal_order = self.order;
-        cfg.steal_from = self.steal;
-        cfg.subwarp_mode = self.mode;
         cfg.mem.line_bytes = self.line_bytes;
         cfg.mem.l1_bytes = self.l1_bytes;
         cfg.mem.l1_assoc = self.l1_assoc;
@@ -173,7 +158,7 @@ impl fmt::Display for FuzzCase {
         write!(
             f,
             "seed {:#x}: {}x{} {:?}, {} clutter tris, {} SM(s), warp buffer {}, \
-             subwarp {} ({:?}, {:?} steal, {:?}, {} move/cycle), L1 {}B/{}-way, \
+             subwarp {} ({} move/cycle), L1 {}B/{}-way, \
              L2 {}B/{}-way, {}B lines, MSHR {}/{}, {} DRAM channel(s)",
             self.seed,
             self.width,
@@ -183,9 +168,6 @@ impl fmt::Display for FuzzCase {
             self.sm_count,
             self.warp_buffer,
             self.subwarp,
-            self.order,
-            self.steal,
-            self.mode,
             self.lbu_moves,
             self.l1_bytes,
             self.l1_assoc,

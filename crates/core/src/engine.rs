@@ -755,9 +755,10 @@ enum Phase {
 
 struct Warp {
     /// Thread (= pixel) indices of this warp's lanes, at most
-    /// [`WARP_SIZE`]. With compaction off, lane `i` of warp `w` is
-    /// pixel `w * 32 + i` for the whole frame; with compaction on,
-    /// warps are re-formed from live threads between waves.
+    /// [`WARP_SIZE`]. With compaction and reordering off, lane `i` of
+    /// warp `w` is pixel `w * 32 + i` for the whole frame; with
+    /// compaction on, warps are re-formed from live threads between
+    /// waves.
     members: Vec<u32>,
     iteration: u32,
     phase: Phase,
@@ -890,36 +891,6 @@ impl<'s> Engine<'s> {
         }
     }
 
-    /// Groups pixels into warps per the configured tiling.
-    fn pixel_groups(&self) -> Vec<Vec<u32>> {
-        let pixels = self.front.len() as u32;
-        match self.cfg.warp_tiling {
-            crate::config::WarpTiling::Linear => (0..pixels)
-                .collect::<Vec<u32>>()
-                .chunks(WARP_SIZE)
-                .map(|c| c.to_vec())
-                .collect(),
-            crate::config::WarpTiling::Tiled8x4 => {
-                // Walk the image in 8x4 screen tiles; ragged edges form
-                // partial warps.
-                let (w, h) = (self.width, self.height);
-                let mut groups = Vec::new();
-                for ty in (0..h).step_by(4) {
-                    for tx in (0..w).step_by(8) {
-                        let mut members = Vec::with_capacity(WARP_SIZE);
-                        for y in ty..(ty + 4).min(h) {
-                            for x in tx..(tx + 8).min(w) {
-                                members.push((y * w + x) as u32);
-                            }
-                        }
-                        groups.push(members);
-                    }
-                }
-                groups
-            }
-        }
-    }
-
     /// Applies the configured ray-reordering policy to a thread order
     /// about to be chunked into warps: a stable bucketed counting sort
     /// on each thread's *current* ray key (primary ray at first-wave
@@ -1008,16 +979,11 @@ impl<'s> Engine<'s> {
         let mut now = 0u64;
         let mut next_sample = self.intervals.interval;
         if !self.cfg.compaction {
-            // One persistent warp per 32 pixels for the whole frame.
-            // With reordering on, the tiling order is re-sorted by
-            // primary-ray key before being cut into warps.
-            let groups = if self.cfg.reorder == ReorderPolicy::Off {
-                self.pixel_groups()
-            } else {
-                let base: Vec<u32> = self.pixel_groups().into_iter().flatten().collect();
-                let order = self.reorder_threads(base, 0, now);
-                order.chunks(WARP_SIZE).map(|c| c.to_vec()).collect()
-            };
+            // One persistent warp per 32 pixels for the whole frame,
+            // in pixel order or, with reordering on, sorted by
+            // primary-ray key.
+            let order = self.reorder_threads((0..self.front.len() as u32).collect(), 0, now);
+            let groups = order.chunks(WARP_SIZE).map(|c| c.to_vec()).collect();
             self.spawn_wave(groups, 0, true, false, now);
             now = self.drain(now, &mut next_sample);
         } else {
@@ -1755,43 +1721,6 @@ mod tests {
     }
 
     #[test]
-    fn warp_tiling_is_functionally_neutral_and_changes_grouping() {
-        let scene = SceneId::Party.build(3);
-        let linear = GpuConfig::small(2);
-        let mut tiled = GpuConfig::small(2);
-        tiled.warp_tiling = crate::config::WarpTiling::Tiled8x4;
-        let a = Simulation::new(&scene, &linear, TraversalPolicy::Baseline)
-            .run_frame(ShaderKind::PathTrace, 16, 16)
-            .unwrap();
-        let b = Simulation::new(&scene, &tiled, TraversalPolicy::Baseline)
-            .run_frame(ShaderKind::PathTrace, 16, 16)
-            .unwrap();
-        // Per-pixel results do not depend on warp membership...
-        assert_eq!(a.image, b.image);
-        // ...but the grouping genuinely differs (timing diverges).
-        assert_ne!(
-            (a.cycles, a.mem.l1.accesses),
-            (b.cycles, b.mem.l1.accesses),
-            "tiling should change the access pattern"
-        );
-    }
-
-    #[test]
-    fn tiled_warps_cover_every_pixel_once_even_when_ragged() {
-        // 10x6 image with 8x4 tiles: ragged right and top edges.
-        let scene = SceneId::Wknd.build(2);
-        let mut cfg = GpuConfig::small(2);
-        cfg.warp_tiling = crate::config::WarpTiling::Tiled8x4;
-        let r = Simulation::new(&scene, &cfg, TraversalPolicy::CoopRt)
-            .run_frame(ShaderKind::PathTrace, 10, 6)
-            .unwrap();
-        let reference = Simulation::new(&scene, &GpuConfig::small(2), TraversalPolicy::Baseline)
-            .run_frame(ShaderKind::PathTrace, 10, 6)
-            .unwrap();
-        assert_eq!(r.image, reference.image, "every pixel shaded exactly once");
-    }
-
-    #[test]
     fn energy_report_is_consistent() {
         let r = run(
             SceneId::Wknd,
@@ -1826,47 +1755,6 @@ mod tests {
             a.events.triangle_tests
         );
         assert!(b.cycles >= a.cycles);
-    }
-
-    #[test]
-    fn bfs_traversal_is_functionally_identical() {
-        // §4.2: cooperative traversal extends to BFS over a queue; the
-        // closest hit is order-independent.
-        let scene = SceneId::Crnvl.build(2);
-        let dfs_cfg = GpuConfig::small(2);
-        let mut bfs_cfg = GpuConfig::small(2);
-        bfs_cfg.traversal_order = crate::config::TraversalOrder::Bfs;
-        let reference = Simulation::new(&scene, &dfs_cfg, TraversalPolicy::Baseline)
-            .run_frame(ShaderKind::PathTrace, 8, 8)
-            .unwrap();
-        for policy in [TraversalPolicy::Baseline, TraversalPolicy::CoopRt] {
-            let r = Simulation::new(&scene, &bfs_cfg, policy)
-                .run_frame(ShaderKind::PathTrace, 8, 8)
-                .unwrap();
-            assert_eq!(r.image, reference.image, "BFS under {policy:?}");
-        }
-    }
-
-    #[test]
-    fn bfs_explores_more_nodes_than_dfs() {
-        // BFS cannot exploit the near-to-far ordering that makes DFS
-        // pruning effective, so it visits at least as many nodes.
-        let scene = SceneId::Car.build(6);
-        let dfs_cfg = GpuConfig::small(2);
-        let mut bfs_cfg = GpuConfig::small(2);
-        bfs_cfg.traversal_order = crate::config::TraversalOrder::Bfs;
-        let dfs = Simulation::new(&scene, &dfs_cfg, TraversalPolicy::Baseline)
-            .run_frame(ShaderKind::PathTrace, 10, 10)
-            .unwrap();
-        let bfs = Simulation::new(&scene, &bfs_cfg, TraversalPolicy::Baseline)
-            .run_frame(ShaderKind::PathTrace, 10, 10)
-            .unwrap();
-        assert!(
-            bfs.events.triangle_tests >= dfs.events.triangle_tests,
-            "bfs {} vs dfs {}",
-            bfs.events.triangle_tests,
-            dfs.events.triangle_tests
-        );
     }
 
     #[test]
@@ -2095,46 +1983,17 @@ mod tests {
     }
 
     #[test]
-    fn subwarp_scheduling_modes_perform_similarly() {
-        // §7.5: "both approaches would perform similarly, as the latency
-        // of a trace_ray instruction is on the order of thousands of
-        // cycles" — and they must agree functionally.
-        let scene = SceneId::Fox.build(3);
-        let all = GpuConfig::small(2).with_subwarp(8);
-        let mut one = GpuConfig::small(2).with_subwarp(8);
-        one.subwarp_mode = crate::config::SubwarpMode::OneGroup;
-        let ra = Simulation::new(&scene, &all, TraversalPolicy::CoopRt)
-            .run_frame(ShaderKind::PathTrace, 10, 10)
-            .unwrap();
-        let ro = Simulation::new(&scene, &one, TraversalPolicy::CoopRt)
-            .run_frame(ShaderKind::PathTrace, 10, 10)
-            .unwrap();
-        assert_eq!(ra.image, ro.image);
-        let ratio = ro.cycles as f64 / ra.cycles as f64;
-        assert!(
-            (0.8..1.25).contains(&ratio),
-            "modes should perform similarly, got {ratio:.2} ({} vs {})",
-            ro.cycles,
-            ra.cycles
-        );
-    }
-
-    #[test]
-    fn steal_position_and_lbu_rate_preserve_results() {
+    fn lbu_rate_preserves_results() {
         let scene = SceneId::Party.build(2);
         let reference = Simulation::new(&scene, &GpuConfig::small(2), TraversalPolicy::CoopRt)
             .run_frame(ShaderKind::PathTrace, 8, 8)
             .unwrap();
-        let mut bottom = GpuConfig::small(2);
-        bottom.steal_from = crate::config::StealPosition::Bottom;
         let mut fast_lbu = GpuConfig::small(2);
         fast_lbu.lbu_moves_per_cycle = 4;
-        for cfg in [bottom, fast_lbu] {
-            let r = Simulation::new(&scene, &cfg, TraversalPolicy::CoopRt)
-                .run_frame(ShaderKind::PathTrace, 8, 8)
-                .unwrap();
-            assert_eq!(r.image, reference.image);
-        }
+        let r = Simulation::new(&scene, &fast_lbu, TraversalPolicy::CoopRt)
+            .run_frame(ShaderKind::PathTrace, 8, 8)
+            .unwrap();
+        assert_eq!(r.image, reference.image);
     }
 
     #[test]
@@ -2199,14 +2058,13 @@ mod tests {
     }
 
     #[test]
-    fn reorder_composes_with_compaction_tiling_and_shaders() {
+    fn reorder_composes_with_compaction_and_shaders() {
         let scene = SceneId::Crnvl.build(2);
         let reference = Simulation::new(&scene, &GpuConfig::small(2), TraversalPolicy::Baseline)
             .run_frame(ShaderKind::AmbientOcclusion, 10, 10)
             .unwrap();
         let mut cfg = GpuConfig::small(2).with_reorder(crate::ReorderPolicy::Morton);
         cfg.compaction = true;
-        cfg.warp_tiling = crate::config::WarpTiling::Tiled8x4;
         let r = Simulation::new(&scene, &cfg, TraversalPolicy::CoopRt)
             .run_frame(ShaderKind::AmbientOcclusion, 10, 10)
             .unwrap();

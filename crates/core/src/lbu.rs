@@ -42,14 +42,6 @@ impl LbuPairs {
         len: 0,
     };
 
-    /// A list holding exactly `pair` (the subwarp scheduler's
-    /// one-group-per-cycle mode).
-    pub fn single(pair: LbuPair) -> Self {
-        let mut pairs = Self::EMPTY;
-        pairs.push(pair);
-        pairs
-    }
-
     fn push(&mut self, pair: LbuPair) {
         debug_assert!(self.len < self.pairs.len(), "one pair per subwarp");
         self.pairs[self.len] = pair;
@@ -90,8 +82,8 @@ impl<'a> IntoIterator for &'a LbuPairs {
 ///
 /// # Panics
 ///
-/// Panics if `subwarp_size` does not evenly divide the warp
-/// (must be 4, 8, 16 or 32).
+/// Panics unless `subwarp_size` is 4, 8, 16 or 32: the sizes that divide
+/// the warp into at most `WARP_SIZE / 4` groups, one pair each.
 ///
 /// # Examples
 ///
@@ -106,8 +98,8 @@ impl<'a> IntoIterator for &'a LbuPairs {
 /// ```
 pub fn find_pairs(can_help: u32, needs_help: u32, subwarp_size: usize) -> LbuPairs {
     assert!(
-        subwarp_size > 0 && WARP_SIZE.is_multiple_of(subwarp_size),
-        "subwarp size must divide the warp (got {subwarp_size})"
+        matches!(subwarp_size, 4 | 8 | 16 | 32),
+        "subwarp size must be 4, 8, 16 or 32 (got {subwarp_size})"
     );
     debug_assert_eq!(
         can_help & needs_help,
@@ -268,5 +260,13 @@ mod tests {
     #[should_panic(expected = "subwarp size")]
     fn rejects_non_dividing_subwarp() {
         let _ = find_pairs(0, 0, 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "subwarp size")]
+    fn rejects_subwarps_below_four_threads() {
+        // Size 2 divides the warp but gives 16 groups, more pairs than
+        // the inline list holds.
+        let _ = find_pairs(0, 0, 2);
     }
 }

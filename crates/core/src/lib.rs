@@ -64,9 +64,7 @@ pub mod rtunit;
 pub mod shader;
 pub mod trace;
 
-pub use config::{
-    GpuConfig, StealPosition, SubwarpMode, TraversalOrder, TraversalPolicy, WarpTiling, WARP_SIZE,
-};
+pub use config::{GpuConfig, TraversalPolicy, WARP_SIZE};
 pub use cooprt_telemetry::Checker;
 pub use engine::{
     ConfigError, FrameResult, IntervalSample, IntervalSeries, Simulation, StallBreakdown,

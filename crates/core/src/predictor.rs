@@ -19,7 +19,7 @@ use cooprt_math::Ray;
 
 /// The ray-path prediction policy: the fourth axis of the evaluation
 /// matrix, orthogonal to [`TraversalPolicy`](crate::TraversalPolicy),
-/// [`ReorderPolicy`](crate::ReorderPolicy) and warp tiling/compaction.
+/// [`ReorderPolicy`](crate::ReorderPolicy) and compaction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PredictPolicy {
     /// No ray-path prediction: every traversal starts at the BVH root

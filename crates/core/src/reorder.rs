@@ -60,10 +60,10 @@ pub const DEFAULT_REORDER_BUCKETS: usize = 256;
 
 /// The ray-reordering policy: the third axis of the evaluation matrix,
 /// orthogonal to [`TraversalPolicy`](crate::TraversalPolicy) and to
-/// warp tiling/compaction.
+/// compaction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ReorderPolicy {
-    /// No reordering: warps form in tiling/compaction order (the
+    /// No reordering: warps form in pixel/compaction order (the
     /// default, and what every pre-existing golden number uses).
     #[default]
     Off,

@@ -19,9 +19,7 @@
 //! the paper had to approximate in Vulkan-sim's split functional/timing
 //! design, §6.1).
 
-use crate::config::{
-    GpuConfig, StealPosition, SubwarpMode, TraversalOrder, TraversalPolicy, WARP_SIZE,
-};
+use crate::config::{GpuConfig, TraversalPolicy, WARP_SIZE};
 use crate::lbu::{find_pairs, has_pair, LbuPair};
 use crate::predictor::{PredictPolicy, PredictorStats, RayPathPredictor};
 use cooprt_bvh::NodeKind;
@@ -29,7 +27,6 @@ use cooprt_gpu::{EnergyEvents, EventCalendar, MemoryHierarchy};
 use cooprt_math::Ray;
 use cooprt_scenes::Scene;
 use cooprt_telemetry::{EventKind, Probe};
-use std::collections::VecDeque;
 
 /// The hit a ray ends a `trace_ray` with.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -153,9 +150,8 @@ struct PredictState {
 /// identical to the old array-of-structs scan.
 #[derive(Clone, Debug)]
 struct ThreadArray {
-    /// Node container per thread: a stack under DFS (process back), a
-    /// queue under BFS (process front). Pushes always go to the back.
-    stacks: Vec<VecDeque<u64>>,
+    /// Traversal stack per thread (DFS: the top is the back).
+    stacks: Vec<Vec<u64>>,
     /// Outstanding fetch address per thread ([`NO_PENDING`] = none).
     pending: [u64; WARP_SIZE],
     /// Cycle each thread's math units are free again.
@@ -172,7 +168,7 @@ struct ThreadArray {
 impl ThreadArray {
     fn new() -> Self {
         ThreadArray {
-            stacks: (0..WARP_SIZE).map(|_| VecDeque::new()).collect(),
+            stacks: (0..WARP_SIZE).map(|_| Vec::new()).collect(),
             pending: [NO_PENDING; WARP_SIZE],
             ready_at: [0; WARP_SIZE],
             main_tid: std::array::from_fn(|i| i as u8),
@@ -207,43 +203,19 @@ impl ThreadArray {
     }
 
     fn push(&mut self, tid: usize, node: u64) {
-        self.stacks[tid].push_back(node);
+        self.stacks[tid].push(node);
         self.nonempty |= 1 << tid;
     }
 
-    /// The node thread `tid` would process next.
-    fn peek_next(&self, tid: usize, order: TraversalOrder) -> Option<u64> {
-        match order {
-            TraversalOrder::Dfs => self.stacks[tid].back().copied(),
-            TraversalOrder::Bfs => self.stacks[tid].front().copied(),
-        }
+    /// The node thread `tid` would process next: its top of stack.
+    fn peek_next(&self, tid: usize) -> Option<u64> {
+        self.stacks[tid].last().copied()
     }
 
-    /// Removes and returns the node thread `tid` would process next.
-    fn pop_next(&mut self, tid: usize, order: TraversalOrder) -> Option<u64> {
-        let node = match order {
-            TraversalOrder::Dfs => self.stacks[tid].pop_back(),
-            TraversalOrder::Bfs => self.stacks[tid].pop_front(),
-        };
-        if self.stacks[tid].is_empty() {
-            self.nonempty &= !(1 << tid);
-        }
-        node
-    }
-
-    /// Removes the node the LBU would steal from (main) thread `tid`.
-    fn steal_node(
-        &mut self,
-        tid: usize,
-        order: TraversalOrder,
-        steal: StealPosition,
-    ) -> Option<u64> {
-        let node = match (order, steal) {
-            (TraversalOrder::Dfs, StealPosition::Top) => self.stacks[tid].pop_back(),
-            (TraversalOrder::Dfs, StealPosition::Bottom) => self.stacks[tid].pop_front(),
-            // BFS steals from the queue front (§4.2).
-            (TraversalOrder::Bfs, _) => self.stacks[tid].pop_front(),
-        };
+    /// Removes and returns thread `tid`'s top of stack: the node it
+    /// processes next, and the node the LBU steals from it (§4.2).
+    fn pop_next(&mut self, tid: usize) -> Option<u64> {
+        let node = self.stacks[tid].pop();
         if self.stacks[tid].is_empty() {
             self.nonempty &= !(1 << tid);
         }
@@ -341,16 +313,13 @@ pub struct RtUnit {
     /// sequence-numbered heap it replaced.
     responses: EventCalendar<(usize, u64)>,
     rr: usize,
-    /// Round-robin cursor of the subwarp scheduler
-    /// ([`SubwarpMode::OneGroup`]).
-    group_rr: usize,
     /// Ray-path prediction table ([`PredictPolicy::RayPath`]), when
     /// enabled.
     path_predictor: Option<RayPathPredictor>,
     /// Recycled per-warp thread arrays: retiring a warp returns its
     /// [`ThreadArray`] here so the next [`RtUnit::issue`] reuses the
     /// allocation (including each thread's stack capacity) instead of
-    /// allocating 32 fresh `VecDeque`s per `trace_ray`.
+    /// allocating 32 fresh stacks per `trace_ray`.
     thread_pool: Vec<ThreadArray>,
     /// Energy-event counters accumulated by this unit.
     pub events: EnergyEvents,
@@ -395,7 +364,6 @@ impl RtUnit {
             occupied: 0,
             responses: EventCalendar::new(),
             rr: 0,
-            group_rr: 0,
             path_predictor: (cfg.predict == PredictPolicy::RayPath)
                 .then(|| RayPathPredictor::new(cfg.predictor_entries)),
             thread_pool: Vec::new(),
@@ -752,7 +720,7 @@ impl RtUnit {
         let chosen = self.pick_warp(now);
         if let Some(slot_idx) = chosen {
             self.events.scheduler_ops += 1;
-            self.issue_memory(slot_idx, now, mem, scene, cfg, probe);
+            self.issue_memory(slot_idx, now, mem, scene, probe);
         }
 
         // 4. Load Balancing Unit (CoopRT only), on the scheduled warp —
@@ -860,7 +828,6 @@ impl RtUnit {
         now: u64,
         mem: &mut MemoryHierarchy,
         scene: &Scene,
-        cfg: &GpuConfig,
         probe: &mut Probe,
     ) {
         let slot = self.slots[slot_idx]
@@ -868,7 +835,6 @@ impl RtUnit {
             .expect("scheduler picked occupied slot");
         // Coalesce: the lowest-numbered eligible thread nominates the
         // address; every eligible thread with the same next node joins.
-        let order = cfg.traversal_order;
         let eligible = slot.threads.issue_candidates();
         let mut addr = None;
         let mut m = eligible;
@@ -876,7 +842,7 @@ impl RtUnit {
             let tid = m.trailing_zeros() as usize;
             m &= m - 1;
             if slot.threads.ready_at[tid] <= now {
-                addr = slot.threads.peek_next(tid, order);
+                addr = slot.threads.peek_next(tid);
                 break;
             }
         }
@@ -888,9 +854,8 @@ impl RtUnit {
         while m != 0 {
             let tid = m.trailing_zeros() as usize;
             m &= m - 1;
-            if slot.threads.ready_at[tid] <= now && slot.threads.peek_next(tid, order) == Some(addr)
-            {
-                slot.threads.pop_next(tid, order);
+            if slot.threads.ready_at[tid] <= now && slot.threads.peek_next(tid) == Some(addr) {
+                slot.threads.pop_next(tid);
                 slot.threads.set_pending(tid, addr);
                 self.events.stack_ops += 1;
                 coalesced += 1;
@@ -1098,42 +1063,24 @@ impl RtUnit {
                 .as_ref()
                 .expect("LBU picked occupied slot");
             let (can, needs) = Self::lbu_masks(slot);
-            let mut pairs = find_pairs(can, needs, self.subwarp);
+            let pairs = find_pairs(can, needs, self.subwarp);
             if pairs.is_empty() {
                 break;
             }
-            if cfg.subwarp_mode == SubwarpMode::OneGroup && pairs.len() > 1 {
-                // The subwarp scheduler services one suitable group per
-                // cycle, round-robin over groups.
-                let groups = WARP_SIZE / self.subwarp;
-                let chosen = (0..groups)
-                    .map(|k| (self.group_rr + k) % groups)
-                    .find_map(|g| pairs.iter().copied().find(|p| p.helper / self.subwarp == g))
-                    .expect("pairs exist, so some group matches");
-                self.group_rr = (chosen.helper / self.subwarp + 1) % groups;
-                pairs = crate::lbu::LbuPairs::single(chosen);
-            }
             for &pair in &pairs {
-                self.apply_lbu_pair(slot_idx, pair, cfg, now, probe);
+                self.apply_lbu_pair(slot_idx, pair, now, probe);
             }
         }
     }
 
-    /// Executes one LBU move: steals a node from `pair.main`'s stack and
+    /// Executes one LBU move: pops the top of `pair.main`'s stack and
     /// pushes it onto `pair.helper`'s, re-pointing the helper at the
     /// main's ray. In checked mode the pair is verified first: the
     /// helper must be idle (empty stack, no fetch in flight) and the
     /// main must have stack work to share; the probe checks that the
     /// emitted move pairs distinct threads. [`find_pairs`] guarantees
     /// all three, so a violation means the pairing logic regressed.
-    fn apply_lbu_pair(
-        &mut self,
-        slot_idx: usize,
-        pair: LbuPair,
-        cfg: &GpuConfig,
-        now: u64,
-        probe: &mut Probe,
-    ) {
+    fn apply_lbu_pair(&mut self, slot_idx: usize, pair: LbuPair, now: u64, probe: &mut Probe) {
         let sm = self.sm_id;
         let slot = self.slots[slot_idx]
             .as_mut()
@@ -1149,10 +1096,7 @@ impl RtUnit {
             || slot.threads.nonempty & (1 << main) != 0,
             || format!("LBU on RT unit {sm}: main thread {main} has no stack work to share"),
         );
-        let Some(node) = slot
-            .threads
-            .steal_node(pair.main, cfg.traversal_order, cfg.steal_from)
-        else {
+        let Some(node) = slot.threads.pop_next(pair.main) else {
             // Unreachable through `find_pairs`; only a corrupted pair
             // (recorded by the checks above) can land here.
             return;
@@ -1177,20 +1121,13 @@ impl RtUnit {
     /// mutation test that proves a broken pairing is caught by the
     /// checker.
     #[cfg(test)]
-    fn force_lbu_move(
-        &mut self,
-        warp: usize,
-        pair: LbuPair,
-        cfg: &GpuConfig,
-        now: u64,
-        probe: &mut Probe,
-    ) {
+    fn force_lbu_move(&mut self, warp: usize, pair: LbuPair, now: u64, probe: &mut Probe) {
         let slot_idx = self
             .slots
             .iter()
             .position(|s| matches!(s, Some(slot) if slot.warp == warp))
             .expect("warp is resident");
-        self.apply_lbu_pair(slot_idx, pair, cfg, now, probe);
+        self.apply_lbu_pair(slot_idx, pair, now, probe);
     }
 }
 
@@ -1565,7 +1502,7 @@ mod tests {
         // Threads 0..8 all pushed the root: thread 1 is busy, so pairing
         // it as a *helper* violates the LBU contract. `find_pairs` would
         // never emit this; inject it directly (the mutation).
-        rt.force_lbu_move(3, LbuPair { helper: 1, main: 0 }, &cfg, 0, &mut probe);
+        rt.force_lbu_move(3, LbuPair { helper: 1, main: 0 }, 0, &mut probe);
         probe.finish(0);
         let violations = checker.violations();
         assert!(

@@ -54,6 +54,21 @@ impl ShaderKind {
         }
     }
 
+    /// Parses a [`ShaderKind::key`] back to the kind. The long
+    /// spellings `path`, `shadow`, `radius` and `contain` are accepted
+    /// too.
+    pub fn parse(s: &str) -> Option<Self> {
+        match s {
+            "pt" | "path" => Some(ShaderKind::PathTrace),
+            "ao" => Some(ShaderKind::AmbientOcclusion),
+            "sh" | "shadow" => Some(ShaderKind::Shadow),
+            "knn" => Some(ShaderKind::Knn),
+            "rad" | "radius" => Some(ShaderKind::Radius),
+            "cont" | "contain" => Some(ShaderKind::Contain),
+            _ => None,
+        }
+    }
+
     /// True if the `trace_ray` at `iteration` uses any-hit semantics
     /// (AO/SH secondary rays accept the first intersection). Query
     /// kinds never use any-hit: gather traversal must enumerate every
@@ -684,6 +699,22 @@ mod tests {
         assert_eq!(ShaderKind::Knn.key(), "knn");
         assert_eq!(ShaderKind::Radius.key(), "rad");
         assert_eq!(ShaderKind::Contain.key(), "cont");
+    }
+
+    #[test]
+    fn parse_inverts_key() {
+        for kind in [
+            ShaderKind::PathTrace,
+            ShaderKind::AmbientOcclusion,
+            ShaderKind::Shadow,
+            ShaderKind::Knn,
+            ShaderKind::Radius,
+            ShaderKind::Contain,
+        ] {
+            assert_eq!(ShaderKind::parse(kind.key()), Some(kind));
+        }
+        assert_eq!(ShaderKind::parse("shadow"), Some(ShaderKind::Shadow));
+        assert_eq!(ShaderKind::parse("PT"), None);
     }
 
     #[test]

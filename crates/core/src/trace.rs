@@ -24,7 +24,7 @@
 //! **Why ray-level recording replays under any timing config.** The
 //! per-thread `(ray, t_max)` sequences depend only on functional hit
 //! results, which the simulator guarantees are identical across
-//! traversal policies, warp tilings, cache geometries and every other
+//! traversal policies, warp formations, cache geometries and every other
 //! timing knob (the image-identity tests pin this). Recording at the
 //! fetch level instead would bake in LBU steal decisions, which *are*
 //! timing-dependent under CoopRT. So one trace recorded under any
@@ -363,7 +363,7 @@ impl Trace {
     /// Replaying at the recorded configuration reproduces the live
     /// cycle count bitwise; replaying at a different timing
     /// configuration (caches, MSHRs, DRAM, warp buffer, subwarp, LBU,
-    /// tiling, compaction, either policy) is exactly the simulation a
+    /// compaction, either policy) is exactly the simulation a
     /// live run of that point would perform, minus the front-end cost.
     ///
     /// # Errors
@@ -1196,9 +1196,6 @@ mod tests {
         bigger_l1.mem.l1_bytes *= 2;
         sweep.push(bigger_l1);
         sweep.push(GpuConfig::small(2).with_warp_buffer(8));
-        let mut tiled = GpuConfig::small(2);
-        tiled.warp_tiling = crate::config::WarpTiling::Tiled8x4;
-        sweep.push(tiled);
         let mut compact = GpuConfig::small(2);
         compact.compaction = true;
         sweep.push(compact);

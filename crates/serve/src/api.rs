@@ -219,26 +219,12 @@ impl JobRequest {
             req.spp = spp as u32;
         }
         if let Some(s) = opt_str(doc, "shader")? {
-            req.shader = match s {
-                "pt" | "path" => ShaderKind::PathTrace,
-                "ao" => ShaderKind::AmbientOcclusion,
-                "sh" | "shadow" => ShaderKind::Shadow,
-                "knn" => ShaderKind::Knn,
-                "rad" | "radius" => ShaderKind::Radius,
-                "cont" | "contain" => ShaderKind::Contain,
-                other => {
-                    return Err(bad(format!(
-                        "unknown shader '{other}' (pt, ao, sh, knn, rad, cont)"
-                    )))
-                }
-            };
+            req.shader = ShaderKind::parse(s)
+                .ok_or_else(|| bad(format!("unknown shader '{s}' (pt, ao, sh, knn, rad, cont)")))?;
         }
         if let Some(p) = opt_str(doc, "policy")? {
-            req.policy = match p {
-                "baseline" => TraversalPolicy::Baseline,
-                "cooprt" => TraversalPolicy::CoopRt,
-                other => return Err(bad(format!("unknown policy '{other}' (baseline, cooprt)"))),
-            };
+            req.policy = TraversalPolicy::parse(p)
+                .ok_or_else(|| bad(format!("unknown policy '{p}' (baseline, cooprt)")))?;
         }
         if let Some(r) = opt_str(doc, "reorder")? {
             req.reorder = ReorderPolicy::parse(r)

@@ -63,14 +63,11 @@ fn parse_args() -> Args {
         match argv[i].as_str() {
             "--scene" => args.scene = value(&mut i),
             "--policy" => {
-                args.policy = match value(&mut i).as_str() {
-                    "base" | "baseline" => TraversalPolicy::Baseline,
-                    "coop" | "cooprt" => TraversalPolicy::CoopRt,
-                    other => {
-                        eprintln!("unknown policy '{other}' (use baseline|cooprt)");
-                        std::process::exit(2);
-                    }
-                }
+                let v = value(&mut i);
+                args.policy = TraversalPolicy::parse(&v).unwrap_or_else(|| {
+                    eprintln!("unknown policy '{v}' (use baseline|cooprt)");
+                    std::process::exit(2);
+                });
             }
             "--res" => args.res = value(&mut i).parse().expect("--res takes an integer"),
             "--detail" => args.detail = value(&mut i).parse().expect("--detail takes an integer"),

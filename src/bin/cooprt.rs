@@ -129,19 +129,15 @@ impl Options {
                         .map_err(|_| "--detail expects a positive integer".to_string())?;
                 }
                 "--shader" => {
-                    opts.shader = match value("--shader")?.as_str() {
-                        "pt" => ShaderKind::PathTrace,
-                        "ao" => ShaderKind::AmbientOcclusion,
-                        "sh" => ShaderKind::Shadow,
-                        other => return Err(format!("unknown shader '{other}' (pt|ao|sh)")),
-                    };
+                    let v = value("--shader")?;
+                    opts.shader = ShaderKind::parse(&v)
+                        .filter(|k| !k.is_query())
+                        .ok_or_else(|| format!("unknown shader '{v}' (pt|ao|sh)"))?;
                 }
                 "--policy" => {
-                    opts.policy = match value("--policy")?.as_str() {
-                        "baseline" => TraversalPolicy::Baseline,
-                        "cooprt" => TraversalPolicy::CoopRt,
-                        other => return Err(format!("unknown policy '{other}' (baseline|cooprt)")),
-                    };
+                    let v = value("--policy")?;
+                    opts.policy = TraversalPolicy::parse(&v)
+                        .ok_or_else(|| format!("unknown policy '{v}' (baseline|cooprt)"))?;
                 }
                 "--reorder" => {
                     let v = value("--reorder")?;
@@ -340,21 +336,17 @@ impl QueryOptions {
                         .map_err(|_| "--salt expects an unsigned integer".to_string())?;
                 }
                 "--shader" => {
-                    opts.shader = Some(match value("--shader")?.as_str() {
-                        "knn" => ShaderKind::Knn,
-                        "rad" | "radius" => ShaderKind::Radius,
-                        "cont" | "contain" => ShaderKind::Contain,
-                        other => {
-                            return Err(format!("unknown query shader '{other}' (knn|rad|cont)"))
-                        }
-                    });
+                    let v = value("--shader")?;
+                    opts.shader = Some(
+                        ShaderKind::parse(&v)
+                            .filter(|k| k.is_query())
+                            .ok_or_else(|| format!("unknown query shader '{v}' (knn|rad|cont)"))?,
+                    );
                 }
                 "--policy" => {
-                    opts.policy = match value("--policy")?.as_str() {
-                        "baseline" => TraversalPolicy::Baseline,
-                        "cooprt" => TraversalPolicy::CoopRt,
-                        other => return Err(format!("unknown policy '{other}' (baseline|cooprt)")),
-                    };
+                    let v = value("--policy")?;
+                    opts.policy = TraversalPolicy::parse(&v)
+                        .ok_or_else(|| format!("unknown policy '{v}' (baseline|cooprt)"))?;
                 }
                 "--reorder" => {
                     let v = value("--reorder")?;
