@@ -137,8 +137,8 @@ pub fn build_binary(triangles: &[Triangle]) -> BinaryBvh {
 ///
 /// Sorts primitives by centroid along the widest axis and splits at the
 /// median. Produces balanced but lower-quality trees than
-/// [`build_binary`]; the `ablation_bvh_quality` bench quantifies how
-/// much tree quality matters to RT-unit performance.
+/// [`build_binary`]; the `ablations` figure of the `paper` bench
+/// quantifies how much tree quality matters to RT-unit performance.
 ///
 /// # Examples
 ///
