@@ -7,9 +7,10 @@
 //! default), so `BENCH_paper.json`'s counts differ from these (wknd is
 //! 14,715/8,803 there, 15,278/9,162 here). The simulator is
 //! deterministic, and hot-path work is host-*representation* only
-//! (flat caches, slotted MSHRs, the event calendar — see `DESIGN.md`),
-//! so any change that perturbs one of these counts is a *behavioural*
-//! change: it must either be a bug or come with a deliberate
+//! (flat caches, slotted MSHRs, the RT unit's `(ready, seq)` response
+//! heap, which pops same-cycle responses in issue order — see
+//! `DESIGN.md`), so any change that perturbs one of these counts is a
+//! *behavioural* change: it must either be a bug or come with a deliberate
 //! re-baseline. A deliberate re-baseline copies the `left` value of
 //! each failing assert into its table here.
 //!

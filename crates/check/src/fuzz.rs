@@ -5,8 +5,8 @@
 //! subwarp sizes, LBU rate, DRAM channels) and a small procedural
 //! scene, then [`run_case`] drives every differential oracle over it:
 //!
-//! 1. the flat cache, slotted MSHR and bucketed event calendar against
-//!    their map/heap reference models on seeded operation traces;
+//! 1. the flat cache and slotted MSHR against their map reference
+//!    models on seeded operation traces;
 //! 2. the BVH reference traversal against brute force over the soup;
 //! 3. a full baseline-vs-CoopRT frame pair — images must be bitwise
 //!    identical, and both runs execute with the engine's invariant
@@ -15,7 +15,7 @@
 //! Everything derives from the in-tree PRNG with explicit seeds, so a
 //! failing seed replays exactly (`examples/simcheck.rs --seed N`).
 
-use crate::oracle::{self, CalendarOp, MshrOp};
+use crate::oracle::{self, MshrOp};
 use crate::{shrink, CheckFailure};
 use cooprt_core::{Checker, GpuConfig, ShaderKind, Simulation, TraversalPolicy};
 use cooprt_math::{Aabb, Ray, Rgb, Vec3};
@@ -181,12 +181,11 @@ impl fmt::Display for FuzzCase {
     }
 }
 
-/// Structural-trace lengths: long enough to force evictions, rebases
-/// and MSHR saturation under every sampled geometry, short enough that
-/// a 64-seed CI budget stays in seconds.
+/// Structural-trace lengths: long enough to force evictions and MSHR
+/// saturation under every sampled geometry, short enough that a 64-seed
+/// CI budget stays in seconds.
 const CACHE_TRACE_LEN: usize = 4_000;
 const MSHR_TRACE_LEN: usize = 3_000;
-const CALENDAR_TRACE_LEN: usize = 5_000;
 
 /// Runs every differential oracle over `case`; `Ok` when all agree.
 pub fn run_case(case: &FuzzCase) -> Result<(), CheckFailure> {
@@ -196,8 +195,7 @@ pub fn run_case(case: &FuzzCase) -> Result<(), CheckFailure> {
     image_identity_oracle(case, &scene)
 }
 
-/// Cache / MSHR / calendar trace replays with case-derived geometry and
-/// seeds.
+/// Cache and MSHR trace replays with case-derived geometry and seeds.
 fn structural_oracles(case: &FuzzCase) -> Result<(), CheckFailure> {
     let mut rng = StdRng::seed_from_u64(case.seed ^ 0xCAC4E);
     // Address span ~4x the L2 so evictions are frequent at every level.
@@ -232,25 +230,7 @@ fn structural_oracles(case: &FuzzCase) -> Result<(), CheckFailure> {
         })
         .collect();
     oracle::replay_mshr(case.l1_mshr, &ops)?;
-    oracle::replay_mshr(case.l2_mshr, &ops)?;
-
-    let mut now = 0u64;
-    let ops: Vec<CalendarOp> = (0..CALENDAR_TRACE_LEN)
-        .map(|_| {
-            now += rng.random_range(0u64..40);
-            if rng.random_range(0u32..3) == 0 {
-                CalendarOp::PopReady { now }
-            } else {
-                // Latencies from L1-hit scale to saturated-DRAM backlog:
-                // exercises both the near wheel and far-level cascades.
-                CalendarOp::Push {
-                    cycle: now + rng.random_range(1u64..4_000),
-                    payload: rng.random(),
-                }
-            }
-        })
-        .collect();
-    oracle::replay_calendar(&ops)
+    oracle::replay_mshr(case.l2_mshr, &ops)
 }
 
 /// BVH-vs-brute-force over a camera ray grid plus random box-crossing

@@ -4,8 +4,8 @@
 //! reorders traversal but never changes the rendered image; the BVH
 //! finds exactly the hits brute force finds; and the flat host-side
 //! representations of the memory hierarchy (way-array caches, slotted
-//! MSHRs, the bucketed event calendar) behave bitwise identically to
-//! the naive map/heap models they replaced. This crate turns each claim
+//! MSHRs) behave bitwise identically to the naive map models they
+//! replaced. This crate turns each claim
 //! into a *differential oracle* and fuzzes all of them from explicit
 //! 64-bit seeds:
 //!
@@ -81,8 +81,8 @@ use std::fmt;
 /// A divergence reported by one oracle.
 #[derive(Clone, Debug)]
 pub struct CheckFailure {
-    /// Which oracle diverged (`"cache"`, `"mshr"`, `"calendar"`,
-    /// `"bvh"`, `"image"`, `"invariants"`, `"engine"`,
+    /// Which oracle diverged (`"cache"`, `"mshr"`, `"bvh"`, `"image"`,
+    /// `"invariants"`, `"engine"`,
     /// `"json-roundtrip"`, `"json-mutation"`, `"json-adversarial"`,
     /// `"serve-cache"`, `"trace-replay"`, `"reorder-image"`,
     /// `"reorder-determinism"`, `"predict-image"`, `"predict-stats"`,

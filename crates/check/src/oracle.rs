@@ -1,14 +1,13 @@
 //! Reference models and differential replays.
 //!
-//! Each hot-path engine structure (flat [`Cache`], slotted [`Mshr`],
-//! bucketed [`EventCalendar`]) has a deliberately naive counterpart here
-//! — maps, hash tables and a binary heap — kept as the semantic source
-//! of truth. The replay functions drive both implementations through
-//! the same operation trace and fail on the first divergence, which is
-//! exactly the oracle the structures' own unit tests used inline; this
-//! module promotes those models so the fuzzer (and anyone debugging a
-//! suspected cache/calendar bug) can replay arbitrary traces against
-//! them.
+//! Each hot-path memory structure (flat [`Cache`], slotted [`Mshr`])
+//! has a deliberately naive counterpart here — ordered and hash maps —
+//! kept as the semantic source of truth. The replay functions drive
+//! both implementations through the same operation trace and fail on
+//! the first divergence, which is exactly the oracle the structures'
+//! own unit tests used inline; this module promotes those models so
+//! the fuzzer (and anyone debugging a suspected cache or MSHR bug) can
+//! replay arbitrary traces against them.
 //!
 //! The geometric oracle is [`bvh_vs_brute_force`]: the BVH reference
 //! traversal must find the same closest hit as a linear scan over the
@@ -16,10 +15,9 @@
 
 use crate::CheckFailure;
 use cooprt_bvh::{traverse, BvhImage};
-use cooprt_gpu::{Cache, EventCalendar, Mshr};
+use cooprt_gpu::{Cache, Mshr};
 use cooprt_math::Ray;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 /// The map-based LRU cache the flat way-array [`Cache`] replaced. Same
 /// modelled behaviour (true LRU over unique stamps), naive host
@@ -140,55 +138,6 @@ impl MapMshr {
     }
 }
 
-/// The `BinaryHeap<(cycle, seq, payload)>` priority queue the bucketed
-/// [`EventCalendar`] replaced: the explicit sequence number provides the
-/// FIFO order among same-cycle events that the calendar gets from
-/// bucket order.
-#[derive(Default)]
-pub struct HeapCalendar {
-    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
-    seq: u64,
-}
-
-impl HeapCalendar {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mirrors [`EventCalendar::push`].
-    pub fn push(&mut self, cycle: u64, payload: u64) {
-        self.heap.push(Reverse((cycle, self.seq, payload)));
-        self.seq += 1;
-    }
-
-    /// Mirrors [`EventCalendar::peek_min`].
-    pub fn peek_min(&self) -> Option<u64> {
-        self.heap.peek().map(|&Reverse((t, _, _))| t)
-    }
-
-    /// Mirrors [`EventCalendar::pop_ready`].
-    pub fn pop_ready(&mut self, now: u64) -> Option<(u64, u64)> {
-        match self.heap.peek() {
-            Some(&Reverse((t, _, _))) if t <= now => {
-                let Reverse((t, _, p)) = self.heap.pop().expect("peeked");
-                Some((t, p))
-            }
-            _ => None,
-        }
-    }
-
-    /// Queued event count.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 /// One operation of an MSHR trace.
 #[derive(Clone, Copy, Debug)]
 pub enum MshrOp {
@@ -206,24 +155,6 @@ pub enum MshrOp {
         /// Completion cycle.
         done: u64,
         /// Insertion cycle.
-        now: u64,
-    },
-}
-
-/// One operation of a calendar trace.
-#[derive(Clone, Copy, Debug)]
-pub enum CalendarOp {
-    /// [`EventCalendar::push`] of `payload` at `cycle`.
-    Push {
-        /// Due cycle.
-        cycle: u64,
-        /// Opaque payload (compared verbatim).
-        payload: u64,
-    },
-    /// [`EventCalendar::pop_ready`] at `now` (popped events and
-    /// `peek_min` are compared against the reference heap).
-    PopReady {
-        /// Current cycle.
         now: u64,
     },
 }
@@ -278,44 +209,6 @@ pub fn replay_mshr(capacity: usize, ops: &[MshrOp]) -> Result<(), CheckFailure> 
                 flat.insert(line, done, now);
                 map.insert(line, done, now);
             }
-        }
-    }
-    Ok(())
-}
-
-/// Replays `ops` against the bucketed calendar and the reference heap;
-/// fails on the first pop or `peek_min` that diverges.
-pub fn replay_calendar(ops: &[CalendarOp]) -> Result<(), CheckFailure> {
-    let mut cal: EventCalendar<u64> = EventCalendar::new();
-    let mut heap = HeapCalendar::new();
-    for (i, &op) in ops.iter().enumerate() {
-        match op {
-            CalendarOp::Push { cycle, payload } => {
-                cal.push(cycle, payload);
-                heap.push(cycle, payload);
-            }
-            CalendarOp::PopReady { now } => {
-                let got = cal.pop_ready(now);
-                let want = heap.pop_ready(now);
-                if got != want {
-                    return Err(CheckFailure::new(
-                        "calendar",
-                        format!("op {i} pop_ready({now}): calendar {got:?}, heap oracle {want:?}"),
-                    ));
-                }
-            }
-        }
-        if cal.peek_min() != heap.peek_min() || cal.len() != heap.len() {
-            return Err(CheckFailure::new(
-                "calendar",
-                format!(
-                    "op {i}: calendar (min {:?}, len {}) vs heap oracle (min {:?}, len {})",
-                    cal.peek_min(),
-                    cal.len(),
-                    heap.peek_min(),
-                    heap.len()
-                ),
-            ));
         }
     }
     Ok(())
@@ -445,26 +338,6 @@ mod tests {
                 .collect();
             replay_mshr(capacity, &ops).unwrap();
         }
-    }
-
-    #[test]
-    fn calendar_replay_agrees_on_bursty_schedules() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut now = 0u64;
-        let ops: Vec<CalendarOp> = (0..10_000)
-            .map(|_| {
-                now += rng.random_range(0u64..30);
-                if rng.random_range(0u32..3) == 0 {
-                    CalendarOp::PopReady { now }
-                } else {
-                    CalendarOp::Push {
-                        cycle: now + rng.random_range(1u64..3_000),
-                        payload: rng.random_range(0u64..1 << 32),
-                    }
-                }
-            })
-            .collect();
-        replay_calendar(&ops).unwrap();
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::reorder::{self, ReorderPolicy, ReorderStats};
 use crate::rtunit::{RtUnit, StatusCounts, TraceQuery, TraceResult};
 use crate::shader::{ShaderKind, ShaderThread};
 use crate::trace::{RayRecord, Recorder};
-use cooprt_gpu::{EnergyEvents, EnergyReport, EventCalendar, MemStats, MemoryHierarchy};
+use cooprt_gpu::{EnergyEvents, EnergyReport, MemStats, MemoryHierarchy};
 use cooprt_math::{Ray, Rgb};
 use cooprt_scenes::Scene;
 use cooprt_telemetry::{Checker, EventKind, Probe, Tracer};
@@ -379,7 +379,8 @@ impl<'s> Simulation<'s> {
     /// frame's [`Probe`] verifies the engine invariants — one response
     /// pop and one coalesced fetch per unit per cycle, every
     /// `trace_ray` retired, LBU pair validity, `min_thit` monotonicity,
-    /// and calendar sanity — in state of its own, and adds its
+    /// fetches completing in the future and the next wake lying after
+    /// the current cycle — in state of its own, and adds its
     /// violations to the checker's shared buffer when the frame ends
     /// (read with [`Checker::violations`] after the run). Like tracing,
     /// checking is purely observational: cycle counts are bitwise
@@ -789,21 +790,14 @@ struct Engine<'s> {
     front: FrontEnd,
     warps: Vec<Warp>,
     sms: Vec<Sm>,
-    /// Cached earliest cycle at which each SM can act again, recomputed
-    /// only when that SM is stepped. An SM whose entry exceeds `now`
-    /// provably performs a no-op step (all its state is private to its
-    /// step section, and issued memory responses carry fixed ready
-    /// times), so [`Engine::step_cycle`] skips it and
-    /// [`Engine::next_time`] folds over this cache instead of rescanning
-    /// every warp of every SM.
+    /// Cached earliest cycle at which each SM can act again (`u64::MAX`
+    /// once it has drained), recomputed only when that SM is stepped.
+    /// An SM whose entry exceeds `now` provably performs a no-op step
+    /// (all its state is private to its step section, and issued memory
+    /// responses carry fixed ready times), so [`Engine::step_cycle`]
+    /// skips it, and [`Engine::next_time`] takes the minimum of this
+    /// cache instead of rescanning every warp of every SM.
     sm_next: Vec<u64>,
-    /// Wake calendar over `sm_next`: whenever an SM's cached next-event
-    /// time is set, an entry is pushed at that cycle. Entries are
-    /// invalidated lazily — one is live only while its time still
-    /// equals `sm_next[sm]` — so [`Engine::next_time`] pops the
-    /// earliest live entry in amortized O(1) instead of folding over
-    /// every SM each skip.
-    wake: EventCalendar<u32>,
     mem: MemoryHierarchy,
     /// This frame's observation point: every event and invariant check
     /// of the engine, its RT units and the memory hierarchy.
@@ -872,7 +866,6 @@ impl<'s> Engine<'s> {
             warps: Vec::new(),
             sms,
             sm_next,
-            wake: EventCalendar::new(),
             mem,
             probe: Probe::new(&sim.tracer, &sim.checker),
             recorder: sim.recorder.clone(),
@@ -953,12 +946,8 @@ impl<'s> Engine<'s> {
         let sm_count = self.sms.len();
         // New work arrived on every SM: invalidate the next-event cache
         // (an entry of `now` makes every SM due immediately, exactly as
-        // the old `fill(0)` did) and seed the wake calendar to match.
+        // the old `fill(0)` did).
         self.sm_next.fill(now);
-        self.wake.clear();
-        for sm in 0..sm_count {
-            self.wake.push(now, sm as u32);
-        }
         for (w, members) in groups.into_iter().enumerate() {
             debug_assert!(members.len() <= WARP_SIZE);
             self.warps.push(Warp {
@@ -1165,11 +1154,7 @@ impl<'s> Engine<'s> {
             // The dense reference steps every SM anyway and never
             // consults it.
             if !self.dense {
-                let t = self.sm_next_time(sm_idx, now);
-                self.sm_next[sm_idx] = t;
-                if t != u64::MAX {
-                    self.wake.push(t, sm_idx as u32);
-                }
+                self.sm_next[sm_idx] = self.sm_next_time(sm_idx, now);
             }
         }
 
@@ -1257,30 +1242,26 @@ impl<'s> Engine<'s> {
         next
     }
 
-    /// The next cycle after `now` at which any SM or warp can act.
+    /// The next cycle after `now` at which any SM or warp can act: the
+    /// minimum of `sm_next`, or `now + 1` once every SM has drained.
     ///
-    /// Amortized O(1): pops the wake calendar until the earliest entry
-    /// that still matches its SM's cached next-event time. Every
-    /// non-drained SM keeps a live entry (one is pushed whenever
-    /// `sm_next` is set, and the SM popped here is stepped — and thus
-    /// re-pushed — at the returned cycle), so the first live entry *is*
-    /// the minimum over `sm_next`. Stale entries were each pushed once,
-    /// so discarding them is amortized constant work.
+    /// The fold reads one entry per SM, as [`Engine::step_cycle`]
+    /// already does on every stepped cycle to find the SMs that are
+    /// due, so it adds a compare per SM to a pass of the same length.
     fn next_time(&mut self, now: u64) -> u64 {
-        while let Some((t, sm)) = self.wake.pop_next() {
-            if t == self.sm_next[sm as usize] {
-                // A live wake entry in the past would mean the per-SM
-                // next-event cache went stale and the engine skipped
-                // work (the `.max` below would silently paper over it).
-                self.probe.check(
-                    now,
-                    || t > now,
-                    || format!("wake calendar yielded cycle {t} for SM {sm}, not after {now}"),
-                );
-                return t.max(now + 1);
-            }
+        let t = self.sm_next.iter().copied().min().unwrap_or(u64::MAX);
+        if t == u64::MAX {
+            return now + 1;
         }
-        now + 1
+        // A next wake in the past would mean the per-SM next-event
+        // cache went stale and the engine skipped work (the `.max`
+        // below would silently paper over it).
+        self.probe.check(
+            now,
+            || t > now,
+            || format!("next SM wake at cycle {t} is not after {now}"),
+        );
+        t.max(now + 1)
     }
 
     fn take_sample(&mut self, cycle: u64) {

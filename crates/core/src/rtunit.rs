@@ -23,10 +23,12 @@ use crate::config::{GpuConfig, TraversalPolicy, WARP_SIZE};
 use crate::lbu::{find_pairs, has_pair, LbuPair};
 use crate::predictor::{PredictPolicy, PredictorStats, RayPathPredictor};
 use cooprt_bvh::NodeKind;
-use cooprt_gpu::{EnergyEvents, EventCalendar, MemoryHierarchy};
+use cooprt_gpu::{EnergyEvents, MemoryHierarchy};
 use cooprt_math::Ray;
 use cooprt_scenes::Scene;
 use cooprt_telemetry::{EventKind, Probe};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// The hit a ray ends a `trace_ray` with.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -308,10 +310,13 @@ pub struct RtUnit {
     summary: Vec<SlotSummary>,
     /// Number of occupied slots.
     occupied: usize,
-    /// Pending memory responses, keyed on their ready cycle. The
-    /// calendar pops same-cycle responses in issue order, matching the
-    /// sequence-numbered heap it replaced.
-    responses: EventCalendar<(usize, u64)>,
+    /// Pending memory responses as `(ready, seq, slot, addr)`, earliest
+    /// first. `seq` is the unit's issue count at the fetch, so
+    /// responses due in the same cycle pop in the order they were
+    /// issued.
+    responses: BinaryHeap<Reverse<(u64, u64, usize, u64)>>,
+    /// Fetches issued so far: the next response's `seq`.
+    issued: u64,
     rr: usize,
     /// Ray-path prediction table ([`PredictPolicy::RayPath`]), when
     /// enabled.
@@ -362,7 +367,8 @@ impl RtUnit {
             slots: vec![None; cfg.warp_buffer_size],
             summary: vec![SlotSummary::FREE; cfg.warp_buffer_size],
             occupied: 0,
-            responses: EventCalendar::new(),
+            responses: BinaryHeap::new(),
+            issued: 0,
             rr: 0,
             path_predictor: (cfg.predict == PredictPolicy::RayPath)
                 .then(|| RayPathPredictor::new(cfg.predictor_entries)),
@@ -699,13 +705,13 @@ impl RtUnit {
         retired: &mut Vec<TraceResult>,
     ) {
         // 1. Response FIFO: pop at most one ready response per cycle.
-        if let Some((t, (slot, addr))) = self.responses.pop_ready(now) {
+        if self
+            .responses
+            .peek()
+            .is_some_and(|&Reverse((ready, ..))| ready <= now)
+        {
+            let Reverse((_, _, slot, addr)) = self.responses.pop().expect("peeked");
             let sm = self.sm_id;
-            probe.check(
-                now,
-                || t <= now,
-                || format!("RT unit {sm} popped a response due at cycle {t} early"),
-            );
             probe.emit(now, || EventKind::ResponsePop {
                 sm: sm as u32,
                 addr,
@@ -769,7 +775,10 @@ impl RtUnit {
     /// Earliest cycle (>= `now`) at which this unit can make progress,
     /// or `None` if it is empty. Used for cycle skipping.
     pub fn next_event(&self, now: u64) -> Option<u64> {
-        let mut earliest = self.responses.peek_min().map(|t| t.max(now));
+        let mut earliest = self
+            .responses
+            .peek()
+            .map(|&Reverse((ready, ..))| ready.max(now));
         for s in &self.summary {
             // A pairable slot can move an LBU node, and a drained one
             // retires, right away.
@@ -886,7 +895,9 @@ impl RtUnit {
                 )
             },
         );
-        self.responses.push(ready, (slot_idx, addr));
+        self.responses
+            .push(Reverse((ready, self.issued, slot_idx, addr)));
+        self.issued += 1;
         probe.emit(now, || EventKind::NodeFetch {
             sm: sm as u32,
             warp,

@@ -14,9 +14,7 @@
 //!   travel, with the bandwidth counters behind Fig. 12 and the miss
 //!   rates behind Fig. 16;
 //! - [`PowerModel`] — a GpuWattch-style event-energy + leakage model
-//!   behind the power/energy/EDP results of Figs. 9, 15 and 18;
-//! - [`EventCalendar`] — a bucketed time wheel used by the simulation
-//!   core to pop pending memory responses and SM wake-ups in O(1).
+//!   behind the power/energy/EDP results of Figs. 9, 15 and 18.
 //!
 //! # Examples
 //!
@@ -32,7 +30,6 @@
 //! ```
 
 mod cache;
-mod calendar;
 mod config;
 mod dram;
 mod hierarchy;
@@ -40,7 +37,6 @@ mod mshr;
 mod power;
 
 pub use cache::{Cache, CacheStats};
-pub use calendar::EventCalendar;
 pub use config::MemoryConfig;
 pub use dram::{Dram, DramStats};
 pub use hierarchy::{MemStats, MemoryHierarchy};

@@ -12,7 +12,7 @@
 //! - an [`EventKind::LbuMove`] pairs two distinct threads.
 //!
 //! Invariants that need live component state (the LBU helper is idle,
-//! `min_thit` never increases, calendars never yield early) stay at
+//! `min_thit` never increases, the next wake lies ahead) stay at
 //! their call sites as [`Probe::check`]s. Observation is purely
 //! observational: `golden_cycles` runs the full scene matrix with
 //! tracer and checker on and pins bitwise-identical cycle counts.

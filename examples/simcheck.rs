@@ -1,5 +1,5 @@
 //! Differential fuzzing driver: replays seeds through every
-//! `cooprt-check` oracle (cache/MSHR/calendar reference models, BVH vs
+//! `cooprt-check` oracle (cache/MSHR reference models, BVH vs
 //! brute force, baseline-vs-CoopRT image identity with engine
 //! invariants enabled), plus the JSON-parser fuzzer, the serve
 //! result-cache identity oracle, the trace record/replay differential
@@ -271,7 +271,7 @@ fn main() {
     }
     println!(
         "fuzzing {} seeds starting at {} (differential oracles: cache, mshr, \
-         calendar, bvh, image identity, engine invariants)",
+         bvh, image identity, engine invariants)",
         args.seeds, args.start
     );
     match fuzz::run_budget(args.start, args.seeds) {
