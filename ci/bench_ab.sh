@@ -12,11 +12,14 @@
 # - for every workload and seed, runs N pairs of perfbench --workload W
 #   --seed K --seconds S, alternating which side runs first, and refuses
 #   any result line without "correct": true;
+# - records each run's minor page faults and system CPU seconds (the
+#   cargo run wrapper's share included, the same on both sides);
 # - judges the runs with `benchdiff --ab`: per end-to-end metric, each
 #   side's median and IQR, the change/base ratio, the pairs the change
 #   won and a verdict from BENCHMARK.json's bound and direction (a gain
-#   needs at least 10 pairs), printed and written as a JSON report
-#   naming both revisions, nproc and N.
+#   needs at least 10 pairs), plus each side's median faults and system
+#   time (no verdict), printed and written as a JSON report naming both
+#   revisions, nproc and N.
 #
 # Defaults: 5 pairs, 20 s runs, all three workloads, seed 0, report
 # BENCH_ab.json. Exit 1 when a metric is worse than its bound or too
@@ -67,19 +70,40 @@ for side in base change; do
     (cd "${tree[$side]}" && cargo build --release --offline --quiet --manifest-path perfbench/Cargo.toml)
 done
 
-# Runs BENCHMARK.json's command in tree $1 for workload $2, seed $3 and
-# prints the result line, if it is correct.
+clk_tck="$(getconf CLK_TCK)"
+
+# Reads this shell's totals over its reaped children into `totals`:
+# totals[8] is minor faults and totals[14] system time in clock ticks
+# (stat fields 11 and 17, counted after the command name). Read in
+# place, not in a command substitution, whose subshell has totals of
+# its own.
+child_totals() {
+    local stat
+    read -r stat < "/proc/$BASHPID/stat"
+    read -r -a totals <<< "${stat##*)}"
+}
+
+# Runs BENCHMARK.json's command in tree $1 for workload $2, seed $3 as
+# pair $4 of side $5, and appends its record to the run file, if its
+# result is correct.
 run() {
-    local line
+    local line minflt stime_ms
+    child_totals
+    local before=("${totals[@]}")
     line="$(cd "$1" && cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$2" --seed "$3" --seconds "$seconds" | tail -n 1)"
+    child_totals
+    minflt=$((totals[8] - before[8]))
+    stime_ms=$(((totals[14] - before[14]) * 1000 / clk_tck))
     case "$line" in
-        '{"correct": true,'*) printf '%s' "$line" ;;
+        '{"correct": true,'*) ;;
         *)
             echo "bench_ab: $2 seed $3 in $1 is not correct: ${line:0:200}" >&2
             exit 1
             ;;
     esac
+    printf '{"workload": "%s", "seed": %s, "pair": %s, "side": "%s", "minflt": %s, "stime_s": %d.%03d, "result": %s}\n' \
+        "$2" "$3" "$4" "$5" "$minflt" $((stime_ms / 1000)) $((stime_ms % 1000)) "$line" >> "$runs"
 }
 
 for w in ${workloads//,/ }; do
@@ -89,9 +113,7 @@ for w in ${workloads//,/ }; do
             ((i % 2)) || sides=(change base)
             for side in "${sides[@]}"; do
                 echo "bench_ab: $w seed $k pair $i/$pairs $side" >&2
-                result="$(run "${tree[$side]}" "$w" "$k")"
-                printf '{"workload": "%s", "seed": %s, "pair": %s, "side": "%s", "result": %s}\n' \
-                    "$w" "$k" "$i" "$side" "$result" >> "$runs"
+                run "${tree[$side]}" "$w" "$k" "$i" "$side"
             done
         done
     done

@@ -23,9 +23,10 @@
 //! run, and every `end_to_end` metric of `BENCHMARK.json` gets each
 //! side's median and IQR, the change/base ratio, the pairs the change
 //! won and a verdict (a gain needs at least ten pairs, better in nine
-//! tenths of them by more than the base runs' IQR). The table goes to
-//! stdout and the JSON report to `--out`; exit 1 when a metric is
-//! worse than its bound or too noisy to judge.
+//! tenths of them by more than the base runs' IQR). Each side's median
+//! minor faults and system seconds per cell follow, with no verdict.
+//! The tables go to stdout and the JSON report to `--out`; exit 1 when
+//! a metric is worse than its bound or too noisy to judge.
 //!
 //! ```sh
 //! cargo bench -p cooprt-bench --bench benchdiff -- --ab runs.jsonl \
@@ -34,8 +35,8 @@
 //! ```
 
 use cooprt_bench::diff::{
-    ab_report_json, ab_rows, default_specs, end_to_end_metrics, load_reports, render_ab, AbSetup,
-    AbVerdict, Baseline, Verdict,
+    ab_counters, ab_report_json, ab_rows, default_specs, end_to_end_metrics, load_reports,
+    render_ab, render_ab_counters, AbSetup, AbVerdict, Baseline, Verdict,
 };
 use cooprt_telemetry::parse_json;
 use std::path::Path;
@@ -138,8 +139,10 @@ fn judge_ab(runs: &str, setup: &AbSetup, out: &str) -> ! {
         .collect::<Result<Vec<_>, _>>()
         .unwrap_or_else(|e| fail(format!("{runs}: {e}")));
     let rows = ab_rows(&records, &metrics).unwrap_or_else(|e| fail(e));
+    let counters = ab_counters(&records).unwrap_or_else(|e| fail(e));
     print!("{}", render_ab(&rows));
-    std::fs::write(out, ab_report_json(setup, &rows))
+    print!("{}", render_ab_counters(&counters));
+    std::fs::write(out, ab_report_json(setup, &rows, &counters))
         .unwrap_or_else(|e| fail(format!("cannot write {out}: {e}")));
     let flagged = rows
         .iter()

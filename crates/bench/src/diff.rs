@@ -662,21 +662,44 @@ fn judge_ab(metric: &EndToEnd, base: &[f64], change: &[f64]) -> (usize, AbVerdic
     (wins, verdict)
 }
 
-/// Builds the rows of an A/B comparison from its run records.
-///
-/// Each record is one perfbench run:
-/// `{"workload": W, "seed": S, "pair": I, "side": "base"|"change",
-/// "result": <perfbench's result line>}`. Cells keep the order of
-/// their first record; a metric neither side's results carry (the
-/// serve metrics on a simulator workload) is left out.
+/// The runs of one `(workload, seed)` cell of an A/B comparison: each
+/// side's run records, in pair order.
+struct AbCell<'a> {
+    workload: String,
+    seed: u64,
+    base: Vec<&'a JsonValue>,
+    change: Vec<&'a JsonValue>,
+}
+
+/// Base and change values, in pair order.
+type AbSides = (Vec<f64>, Vec<f64>);
+
+impl AbCell<'_> {
+    /// Each side's value at `path` in every run record, or `None` when
+    /// neither side's runs all carry it.
+    fn values(&self, path: &str) -> Result<Option<AbSides>, String> {
+        let side = |runs: &[&JsonValue]| {
+            runs.iter()
+                .map(|r| extract(r, path))
+                .collect::<Result<Vec<_>, _>>()
+        };
+        match (side(&self.base), side(&self.change)) {
+            (Ok(base), Ok(change)) => Ok(Some((base, change))),
+            (Err(_), Err(_)) => Ok(None),
+            (Err(e), _) | (_, Err(e)) => Err(format!("{} seed {}: {e}", self.workload, self.seed)),
+        }
+    }
+}
+
+/// Groups run records into cells, in the order of each cell's first
+/// record.
 ///
 /// # Errors
 ///
 /// Names a record that lacks a field, a result that is not
-/// `"correct": true`, a cell whose sides ran different pair counts, or
-/// a metric only some of a cell's runs carry.
-pub fn ab_rows(records: &[JsonValue], metrics: &[EndToEnd]) -> Result<Vec<AbRow>, String> {
-    // `(workload, seed)` and its runs as `(pair, is_change, result)`.
+/// `"correct": true`, or a cell whose sides ran different pair counts.
+fn ab_cells(records: &[JsonValue]) -> Result<Vec<AbCell<'_>>, String> {
+    // `(workload, seed)` and its runs as `(pair, is_change, record)`.
     type Cell<'a> = ((String, u64), Vec<(u64, bool, &'a JsonValue)>);
     let mut cells: Vec<Cell> = Vec::new();
     for (i, record) in records.iter().enumerate() {
@@ -689,41 +712,64 @@ pub fn ab_rows(records: &[JsonValue], metrics: &[EndToEnd]) -> Result<Vec<AbRow>
         let seed = field("seed")?.as_f64().unwrap_or_default() as u64;
         let pair = field("pair")?.as_f64().unwrap_or_default() as u64;
         let is_change = field("side")?.as_str() == Some("change");
-        let result = field("result")?;
-        if !matches!(result.get("correct"), Some(JsonValue::Bool(true))) {
+        if !matches!(field("result")?.get("correct"), Some(JsonValue::Bool(true))) {
             return Err(format!("run record {i} ({workload}) is not correct"));
         }
         let cell = (workload, seed);
         match cells.iter_mut().find(|(c, _)| *c == cell) {
-            Some((_, runs)) => runs.push((pair, is_change, result)),
-            None => cells.push((cell, vec![(pair, is_change, result)])),
+            Some((_, runs)) => runs.push((pair, is_change, record)),
+            None => cells.push((cell, vec![(pair, is_change, record)])),
         }
     }
-    let mut rows = Vec::new();
-    for ((workload, seed), mut runs) in cells {
-        runs.sort_by_key(|&(pair, is_change, _)| (pair, is_change));
-        let side = |want: bool| runs.iter().filter(move |r| r.1 == want).map(|r| r.2);
-        if side(false).count() != side(true).count() {
-            return Err(format!(
-                "{workload} seed {seed}: unequal run counts per side"
-            ));
-        }
-        for metric in metrics {
-            let path = format!("metrics.\"{}\".value", metric.name);
-            let values = |want| {
-                side(want)
-                    .map(|r| extract(r, &path))
-                    .collect::<Result<Vec<_>, _>>()
+    cells
+        .into_iter()
+        .map(|((workload, seed), mut runs)| {
+            runs.sort_by_key(|&(pair, is_change, _)| (pair, is_change));
+            let side = |want: bool| -> Vec<&JsonValue> {
+                runs.iter().filter(|r| r.1 == want).map(|r| r.2).collect()
             };
-            let (base, change) = match (values(false), values(true)) {
-                (Ok(base), Ok(change)) => (base, change),
-                (Err(_), Err(_)) => continue,
-                (Err(e), _) | (_, Err(e)) => return Err(format!("{workload} seed {seed}: {e}")),
+            let (base, change) = (side(false), side(true));
+            if base.len() != change.len() {
+                return Err(format!(
+                    "{workload} seed {seed}: unequal run counts per side"
+                ));
+            }
+            Ok(AbCell {
+                workload,
+                seed,
+                base,
+                change,
+            })
+        })
+        .collect()
+}
+
+/// Builds the rows of an A/B comparison from its run records.
+///
+/// Each record is one perfbench run:
+/// `{"workload": W, "seed": S, "pair": I, "side": "base"|"change",
+/// "minflt": F, "stime_s": T, "result": <perfbench's result line>}`.
+/// Cells keep the order of their first record; a metric neither side's
+/// results carry (the serve metrics on a simulator workload) is left
+/// out.
+///
+/// # Errors
+///
+/// Names a record that lacks a field, a result that is not
+/// `"correct": true`, a cell whose sides ran different pair counts, or
+/// a metric only some of a cell's runs carry.
+pub fn ab_rows(records: &[JsonValue], metrics: &[EndToEnd]) -> Result<Vec<AbRow>, String> {
+    let mut rows = Vec::new();
+    for cell in ab_cells(records)? {
+        for metric in metrics {
+            let path = format!("result.metrics.\"{}\".value", metric.name);
+            let Some((base, change)) = cell.values(&path)? else {
+                continue;
             };
             let (wins, verdict) = judge_ab(metric, &base, &change);
             rows.push(AbRow {
-                workload: workload.clone(),
-                seed,
+                workload: cell.workload.clone(),
+                seed: cell.seed,
                 metric: metric.clone(),
                 base,
                 change,
@@ -733,6 +779,51 @@ pub fn ab_rows(records: &[JsonValue], metrics: &[EndToEnd]) -> Result<Vec<AbRow>
         }
     }
     Ok(rows)
+}
+
+/// The host counters `ci/bench_ab.sh` records beside each run's result:
+/// the run's minor page faults and its system CPU seconds.
+pub const AB_COUNTERS: [&str; 2] = ["minflt", "stime_s"];
+
+/// Each side's median of one host counter over one `(workload, seed)`
+/// cell. Informational: a counter has no bound and gets no verdict.
+#[derive(Clone, Debug, PartialEq)]
+pub struct AbCounter {
+    /// perfbench workload.
+    pub workload: String,
+    /// perfbench seed.
+    pub seed: u64,
+    /// One of [`AB_COUNTERS`].
+    pub name: &'static str,
+    /// Base median.
+    pub base: f64,
+    /// Change median.
+    pub change: f64,
+}
+
+/// Summarizes the [`AB_COUNTERS`] of each cell of [`ab_rows`]' run
+/// records. A counter the runs do not carry (records written before
+/// the runner recorded it) is left out.
+///
+/// # Errors
+///
+/// As [`ab_rows`], for a counter in place of a metric.
+pub fn ab_counters(records: &[JsonValue]) -> Result<Vec<AbCounter>, String> {
+    let mut counters = Vec::new();
+    for cell in ab_cells(records)? {
+        for name in AB_COUNTERS {
+            if let Some((base, change)) = cell.values(name)? {
+                counters.push(AbCounter {
+                    workload: cell.workload.clone(),
+                    seed: cell.seed,
+                    name,
+                    base: Spread::of(&base).median,
+                    change: Spread::of(&change).median,
+                });
+            }
+        }
+    }
+    Ok(counters)
 }
 
 /// Renders A/B rows as an aligned text table.
@@ -761,6 +852,26 @@ pub fn render_ab(rows: &[AbRow]) -> String {
     out
 }
 
+/// Renders A/B counters as an aligned text table.
+pub fn render_ab_counters(counters: &[AbCounter]) -> String {
+    let mut out = format!(
+        "{:<13} {:>4}  {:<20} {:>12} {:>12} {:>7}\n",
+        "workload", "seed", "counter", "base", "change", "ratio"
+    );
+    for c in counters {
+        out.push_str(&format!(
+            "{:<13} {:>4}  {:<20} {:>12.3} {:>12.3} {:>7.4}\n",
+            c.workload,
+            c.seed,
+            c.name,
+            c.base,
+            c.change,
+            c.change / c.base
+        ));
+    }
+    out
+}
+
 /// What an A/B report records about how it was run.
 #[derive(Clone, Debug)]
 pub struct AbSetup {
@@ -777,7 +888,7 @@ pub struct AbSetup {
 }
 
 /// Serializes an A/B comparison as its checked-in JSON report.
-pub fn ab_report_json(setup: &AbSetup, rows: &[AbRow]) -> String {
+pub fn ab_report_json(setup: &AbSetup, rows: &[AbRow], counters: &[AbCounter]) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_u64("schema_version", 1);
@@ -810,6 +921,17 @@ pub fn ab_report_json(setup: &AbSetup, rows: &[AbRow]) -> String {
             }
             w.end_array();
         }
+        w.end_object();
+    }
+    w.end_array();
+    w.begin_array("counters");
+    for c in counters {
+        w.begin_object();
+        w.field_str("workload", &c.workload);
+        w.field_u64("seed", c.seed);
+        w.field_str("counter", c.name);
+        w.field_f64("base_median", c.base, 3);
+        w.field_f64("change_median", c.change, 3);
         w.end_object();
     }
     w.end_array();
@@ -1096,7 +1218,10 @@ mod tests {
         let record = |pair: u64, side: &str, wall_s: f64| {
             parse_json(&format!(
                 r#"{{"workload": "frame_live", "seed": 0, "pair": {pair}, "side": "{side}",
-                   "result": {{"correct": true, "metrics": {{"wall_s": {{"value": {wall_s}}}}}}}}}"#
+                   "minflt": {}, "stime_s": {},
+                   "result": {{"correct": true, "metrics": {{"wall_s": {{"value": {wall_s}}}}}}}}}"#,
+                1000 * pair,
+                wall_s / 10.0
             ))
             .unwrap()
         };
@@ -1120,6 +1245,10 @@ mod tests {
         assert_eq!(rows[0].change, [4.0, 5.3]);
         assert_eq!(rows[0].wins, 1);
         assert!((rows[0].ratio() - 4.65 / 5.1).abs() < 1e-12);
+        let counters = ab_counters(&records).unwrap();
+        assert_eq!(counters.len(), 2);
+        assert_eq!((counters[0].name, counters[0].base), ("minflt", 1500.0));
+        assert!((counters[1].change - 0.465).abs() < 1e-12);
         let json = ab_report_json(
             &AbSetup {
                 base: "aaa".into(),
@@ -1129,10 +1258,32 @@ mod tests {
                 seconds: 1,
             },
             &rows,
+            &counters,
         );
         let doc = parse_json(&json).unwrap();
         assert_eq!(extract(&doc, "rows[metric=wall_s].wins").unwrap(), 1.0);
+        assert_eq!(
+            extract(&doc, "counters[counter=minflt].change_median").unwrap(),
+            1500.0
+        );
         assert!(render_ab(&rows).contains("frame_live"));
+        assert!(render_ab_counters(&counters).contains("stime_s"));
+        // Records written before the runner counted faults carry none.
+        let bare: Vec<JsonValue> = records
+            .iter()
+            .map(|r| match r {
+                JsonValue::Object(fields) => JsonValue::Object(
+                    fields
+                        .iter()
+                        .filter(|(k, _)| !AB_COUNTERS.contains(&k.as_str()))
+                        .cloned()
+                        .collect(),
+                ),
+                other => other.clone(),
+            })
+            .collect();
+        assert!(ab_counters(&bare).unwrap().is_empty());
+        assert_eq!(ab_rows(&bare, &metrics).unwrap(), rows);
         // A run that failed its checks is refused.
         let mut bad = records.clone();
         bad.push(parse_json(r#"{"workload": "w", "seed": 0, "pair": 3, "side": "base", "result": {"correct": false}}"#).unwrap());
