@@ -36,7 +36,7 @@
 
 use cooprt_bench::diff::{
     ab_counters, ab_report_json, ab_rows, default_specs, end_to_end_metrics, load_reports,
-    render_ab, render_ab_counters, AbSetup, AbVerdict, Baseline, Verdict,
+    render_ab, AbSetup, AbVerdict, Baseline, Verdict,
 };
 use cooprt_telemetry::parse_json;
 use std::path::Path;
@@ -140,8 +140,7 @@ fn judge_ab(runs: &str, setup: &AbSetup, out: &str) -> ! {
         .unwrap_or_else(|e| fail(format!("{runs}: {e}")));
     let rows = ab_rows(&records, &metrics).unwrap_or_else(|e| fail(e));
     let counters = ab_counters(&records).unwrap_or_else(|e| fail(e));
-    print!("{}", render_ab(&rows));
-    print!("{}", render_ab_counters(&counters));
+    print!("{}", render_ab(&rows, &counters));
     std::fs::write(out, ab_report_json(setup, &rows, &counters))
         .unwrap_or_else(|e| fail(format!("cannot write {out}: {e}")));
     let flagged = rows

@@ -826,8 +826,9 @@ pub fn ab_counters(records: &[JsonValue]) -> Result<Vec<AbCounter>, String> {
     Ok(counters)
 }
 
-/// Renders A/B rows as an aligned text table.
-pub fn render_ab(rows: &[AbRow]) -> String {
+/// Renders A/B rows as an aligned text table, and the counters under
+/// it as a second one.
+pub fn render_ab(rows: &[AbRow], counters: &[AbCounter]) -> String {
     let mut out = format!(
         "{:<13} {:>4}  {:<20} {:>12} {:>10} {:>12} {:>10} {:>7} {:>6}  verdict\n",
         "workload", "seed", "metric", "base", "base IQR", "change", "change IQR", "ratio", "wins"
@@ -849,15 +850,10 @@ pub fn render_ab(rows: &[AbRow]) -> String {
             row.verdict.label(),
         ));
     }
-    out
-}
-
-/// Renders A/B counters as an aligned text table.
-pub fn render_ab_counters(counters: &[AbCounter]) -> String {
-    let mut out = format!(
+    out.push_str(&format!(
         "{:<13} {:>4}  {:<20} {:>12} {:>12} {:>7}\n",
         "workload", "seed", "counter", "base", "change", "ratio"
-    );
+    ));
     for c in counters {
         out.push_str(&format!(
             "{:<13} {:>4}  {:<20} {:>12.3} {:>12.3} {:>7.4}\n",
@@ -1266,8 +1262,8 @@ mod tests {
             extract(&doc, "counters[counter=minflt].change_median").unwrap(),
             1500.0
         );
-        assert!(render_ab(&rows).contains("frame_live"));
-        assert!(render_ab_counters(&counters).contains("stime_s"));
+        let table = render_ab(&rows, &counters);
+        assert!(table.contains("frame_live") && table.contains("stime_s"));
         // Records written before the runner counted faults carry none.
         let bare: Vec<JsonValue> = records
             .iter()
