@@ -5,9 +5,8 @@
 //! finds exactly the hits brute force finds; and the flat host-side
 //! representations of the memory hierarchy (way-array caches, slotted
 //! MSHRs) behave bitwise identically to the naive map models they
-//! replaced. This crate turns each claim
-//! into a *differential oracle* and fuzzes all of them from explicit
-//! 64-bit seeds:
+//! replaced. This crate turns each claim into a *differential oracle*
+//! and fuzzes all of them from explicit 64-bit seeds:
 //!
 //! - [`oracle`] holds the reference models (promoted from inline test
 //!   oracles) and the trace-replay comparators;
@@ -82,11 +81,10 @@ use std::fmt;
 #[derive(Clone, Debug)]
 pub struct CheckFailure {
     /// Which oracle diverged (`"cache"`, `"mshr"`, `"bvh"`, `"image"`,
-    /// `"invariants"`, `"engine"`,
-    /// `"json-roundtrip"`, `"json-mutation"`, `"json-adversarial"`,
-    /// `"serve-cache"`, `"trace-replay"`, `"reorder-image"`,
-    /// `"reorder-determinism"`, `"predict-image"`, `"predict-stats"`,
-    /// `"query-exact"`, `"step-dense"`).
+    /// `"invariants"`, `"engine"`, `"json-roundtrip"`, `"json-mutation"`,
+    /// `"json-adversarial"`, `"serve-cache"`, `"trace-replay"`,
+    /// `"reorder-image"`, `"reorder-determinism"`, `"predict-image"`,
+    /// `"predict-stats"`, `"query-exact"`, `"step-dense"`).
     pub oracle: String,
     /// Human-readable description of the first divergence.
     pub detail: String,
