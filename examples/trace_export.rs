@@ -23,12 +23,19 @@
 //! Chrome-trace checker and asserts the event taxonomy spans the whole
 //! machine (SM scheduling, RT unit, LBU, memory hierarchy). CI runs
 //! this on every push (see `ci.sh`).
+//!
+//! The output directory is created, with its parents, before the
+//! simulation runs. A bad argument or an empty frame exits 2, and a
+//! directory or file that cannot be written exits 1.
 
 use cooprt::core::{GpuConfig, MetricsReport, ShaderKind, Simulation, TraversalPolicy};
 use cooprt::scenes::ALL_SCENES;
 use cooprt::telemetry::{
     chrome_trace_json, validate_chrome_trace, SpanRecorder, TraceMeta, Tracer,
 };
+
+const USAGE: &str = "usage: trace_export [--scene NAME] [--policy baseline|cooprt] \
+                     [--res N] [--detail N] [--out-dir DIR] [--check]";
 
 struct Args {
     scene: String,
@@ -37,6 +44,27 @@ struct Args {
     detail: u32,
     out_dir: String,
     check: bool,
+}
+
+/// Prints `message` and the usage line, then exits 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// Parses the integer value of `flag`.
+fn integer<T: std::str::FromStr>(flag: &str, value: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} takes an integer, not '{value}'")))
+}
+
+/// Writes `contents` to `path`, or exits 1 naming the path.
+fn write(path: &str, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    });
 }
 
 fn parse_args() -> Args {
@@ -69,19 +97,16 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 });
             }
-            "--res" => args.res = value(&mut i).parse().expect("--res takes an integer"),
-            "--detail" => args.detail = value(&mut i).parse().expect("--detail takes an integer"),
+            "--res" => args.res = integer("--res", &value(&mut i)),
+            "--detail" => args.detail = integer("--detail", &value(&mut i)),
             "--out-dir" => args.out_dir = value(&mut i),
             "--check" => args.check = true,
-            other => {
-                eprintln!(
-                    "unknown argument '{other}'\nusage: trace_export [--scene NAME] \
-                     [--policy baseline|cooprt] [--res N] [--detail N] [--out-dir DIR] [--check]"
-                );
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument '{other}'")),
         }
         i += 1;
+    }
+    if args.detail == 0 {
+        usage_error("--detail must be at least 1");
     }
     args
 }
@@ -92,6 +117,11 @@ fn main() {
         eprintln!("unknown scene '{}'", args.scene);
         std::process::exit(1);
     };
+    // Fail on an unwritable directory now, not after the simulation.
+    std::fs::create_dir_all(&args.out_dir).unwrap_or_else(|e| {
+        eprintln!("cannot create {}: {e}", args.out_dir);
+        std::process::exit(1);
+    });
 
     let spans = SpanRecorder::enabled();
     let scene = spans.time("scene_build", || id.build(args.detail));
@@ -105,12 +135,16 @@ fn main() {
     );
 
     let tracer = Tracer::enabled();
-    let frame = spans.time("frame_run", || {
-        Simulation::new(&scene, &cfg, policy)
-            .with_tracer(tracer.clone())
-            .run_frame(ShaderKind::PathTrace, args.res, args.res)
-            .unwrap()
-    });
+    let frame = spans
+        .time("frame_run", || {
+            Simulation::new(&scene, &cfg, policy)
+                .with_tracer(tracer.clone())
+                .run_frame(ShaderKind::PathTrace, args.res, args.res)
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
     let log = tracer.take();
     println!(
         "{} cycles, {} rays; captured {} events ({} dropped past capacity)",
@@ -165,7 +199,7 @@ fn main() {
     }
 
     let trace_path = format!("{}/{label}.trace.json", args.out_dir);
-    std::fs::write(&trace_path, &trace).expect("write trace JSON");
+    write(&trace_path, &trace);
     println!("wrote {trace_path} (open at https://ui.perfetto.dev)");
 
     let mut report = MetricsReport::new(&format!("CoopRT {label}"));
@@ -175,6 +209,6 @@ fn main() {
     // overwrite earlier reports when exporting several runs into the
     // same directory.
     let metrics_path = format!("{}/{label}.metrics.json", args.out_dir);
-    std::fs::write(&metrics_path, report.to_json()).expect("write metrics JSON");
+    write(&metrics_path, &report.to_json());
     println!("wrote {metrics_path}");
 }
