@@ -12,7 +12,8 @@
 //! in [`cooprt_bench::paper`]; this target is the argument handling and
 //! the file write. `COOPRT_RES`, `COOPRT_DETAIL`, `COOPRT_SCENES` and
 //! `COOPRT_THREADS` set the knobs (see the crate docs). An unknown
-//! figure prefix or scene name exits 2 with the valid names.
+//! figure prefix or scene name exits 2 with the valid names, and so does
+//! a `COOPRT_RES` or `COOPRT_DETAIL` that is not a positive integer.
 
 use cooprt_bench::paper::{run, Knobs, FIGURES};
 
@@ -34,7 +35,7 @@ fn main() {
         std::process::exit(2);
     }
     let knobs = Knobs::from_env().unwrap_or_else(|e| {
-        eprintln!("paper: COOPRT_SCENES: {e}");
+        eprintln!("paper: {e}");
         std::process::exit(2);
     });
     let report = run(&knobs, &filter);

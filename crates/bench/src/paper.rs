@@ -57,12 +57,14 @@ impl Knobs {
     ///
     /// # Errors
     ///
-    /// Returns [`scene_list`]'s message for an invalid `COOPRT_SCENES`.
+    /// Names the knob and its value: a `COOPRT_RES` or `COOPRT_DETAIL`
+    /// that is not a positive integer ([`parse_size`](crate::parse_size)),
+    /// or an invalid `COOPRT_SCENES` list ([`scene_list`]).
     pub fn from_env() -> Result<Knobs, String> {
         Ok(Knobs {
-            res: default_res(),
-            sweep_res: sweep_res(),
-            detail: default_detail(),
+            res: default_res()?,
+            sweep_res: sweep_res()?,
+            detail: default_detail()?,
             scenes: scene_list()?,
             threads: parallel::threads(),
         })
