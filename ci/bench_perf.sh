@@ -9,7 +9,9 @@
 #
 #   ci/bench_perf.sh    # about 2 minutes on a 2-core host
 #
-# benchdiff's wall-clock bands (ci/bench_baseline.json) read this file.
+# The file is the checked-in record of seed-0 host time, and no gate
+# reads it: a host-time claim compares two commits on one host with
+# ci/bench_ab.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
