@@ -22,9 +22,11 @@
 #   revisions, nproc and N.
 #
 # Defaults: 5 pairs, 20 s runs, all three workloads, seed 0, report
-# BENCH_ab.json. Exit 1 when a metric is worse than its bound or too
-# noisy to judge. The trees live under ${TMPDIR:-/tmp} and are removed
-# on exit.
+# ${TMPDIR:-/tmp}/bench_ab.<pid>.json (its path is printed), so a smoke
+# run never overwrites the checked-in BENCH_ab.json: a change that
+# claims a gain passes --out BENCH_ab.json. Exit 1 when a metric is
+# worse than its bound or too noisy to judge. The trees live under
+# ${TMPDIR:-/tmp} and are removed on exit.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,7 +43,7 @@ pairs=5
 seconds=20
 workloads=frame_live,sweep_replay,serve_mixed
 seeds=0
-out="$PWD/BENCH_ab.json"
+out="${TMPDIR:-/tmp}/bench_ab.$$.json"
 while [ $# -gt 0 ]; do
     [ $# -ge 2 ] || usage
     case "$1" in
@@ -119,6 +121,7 @@ for w in ${workloads//,/ }; do
     done
 done
 
+echo "bench_ab: report $out" >&2
 cargo bench --offline --quiet -p cooprt-bench --bench benchdiff -- --ab "$runs" \
     --base "$base_rev" --change "$change_rev" --nproc "$(nproc)" --pairs "$pairs" \
     --seconds "$seconds" --out "$out"

@@ -5,9 +5,14 @@
 //! [`BvhImage`] is that address space: every wide node is assigned a byte
 //! address in a packed, depth-first layout; the simulator issues fetches
 //! for those addresses and the caches see realistic locality.
+//!
+//! On the host, a node is a 16-byte record and an internal node's
+//! children live beside the node table in 4-wide struct-of-arrays
+//! [`ChildChunk`]s, so the math units' test of one fetched node is one
+//! branch-free pass per chunk ([`ChildChunk::hit_mask`]).
 
-use crate::{WideBvh, WideNode};
-use cooprt_math::{Aabb, Triangle};
+use crate::{WideBvh, WideNode, MAX_ARITY};
+use cooprt_math::{Aabb, Ray, Triangle, Vec3};
 
 /// Size in bytes of an internal node record.
 ///
@@ -20,6 +25,9 @@ pub const INTERNAL_NODE_BYTES: u32 = 176;
 /// 3 vertices x 12 bytes + primitive id + header, rounded to 64 bytes
 /// (two 32-byte memory chunks).
 pub const LEAF_NODE_BYTES: u32 = 64;
+
+/// Children per [`ChildChunk`].
+pub const CHUNK_LANES: usize = 4;
 
 /// Base address of the BVH heap in the simulated address space.
 const HEAP_BASE: u64 = 0x1000_0000;
@@ -35,6 +43,10 @@ const LOOKUP_GRAIN: u64 = 16;
 /// Sentinel for lookup-table slots that do not start a node.
 const NO_NODE: u32 = u32::MAX;
 
+/// Lookup-table bit set for an internal node, so a node's size is known
+/// from the table alone; the bits below it hold the node's index.
+const INTERNAL_BIT: u32 = 1 << 31;
+
 /// A reference to a child node as stored inside its parent: the child's
 /// bounds (tested *before* fetching the child) and its address.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -45,13 +57,133 @@ pub struct ChildRef {
     pub bounds: Aabb,
 }
 
+/// Four children of an internal node in struct-of-arrays layout: per
+/// axis, the four lanes' lower and upper bounds, then the four child
+/// offsets from the heap base (112 bytes).
+///
+/// An internal node with `n` children owns `ceil(n / 4)` consecutive
+/// chunks holding them in slot order. Lanes past the last child are
+/// padding: they hold [`Aabb::empty`], which no test hits.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, align(16))]
+pub struct ChildChunk {
+    min: [[f32; CHUNK_LANES]; 3],
+    max: [[f32; CHUNK_LANES]; 3],
+    offset: [u32; CHUNK_LANES],
+}
+
+impl ChildChunk {
+    /// A chunk of padding lanes only.
+    const PADDING: ChildChunk = ChildChunk {
+        min: [[f32::INFINITY; CHUNK_LANES]; 3],
+        max: [[f32::NEG_INFINITY; CHUNK_LANES]; 3],
+        offset: [0; CHUNK_LANES],
+    };
+
+    fn set(&mut self, lane: usize, offset: u32, b: &Aabb) {
+        for (a, (lo, hi)) in [(b.min.x, b.max.x), (b.min.y, b.max.y), (b.min.z, b.max.z)]
+            .into_iter()
+            .enumerate()
+        {
+            self.min[a][lane] = lo;
+            self.max[a][lane] = hi;
+        }
+        self.offset[lane] = offset;
+    }
+
+    /// Byte address of the child in `lane`.
+    #[inline]
+    pub fn addr(&self, lane: usize) -> u64 {
+        HEAP_BASE + u64::from(self.offset[lane])
+    }
+
+    /// Bounds of the child in `lane`, bit for bit as stored.
+    pub fn bounds(&self, lane: usize) -> Aabb {
+        let corner = |c: &[[f32; CHUNK_LANES]; 3]| Vec3::new(c[0][lane], c[1][lane], c[2][lane]);
+        Aabb {
+            min: corner(&self.min),
+            max: corner(&self.max),
+        }
+    }
+
+    /// The slab test of all four lanes in one branch-free pass: bit `l`
+    /// is set iff `self.bounds(l).intersect(ray, t_max).is_some()`.
+    ///
+    /// It is [`Aabb::intersect`] lane-wise, decision for decision: a
+    /// slab whose entry or exit is NaN constrains nothing; a lane with
+    /// `min > max` on some axis is empty, which here sets its exit to
+    /// -inf so it misses (a NaN bound compares false and does not
+    /// empty it); the entry clamps at 0 and the exit at `t_max`. The
+    /// folds are compare-selects, which equal `f32::max`/`f32::min`
+    /// here: a slab's entry and exit are never NaN once a NaN slab is
+    /// widened, and a NaN `t_max` drops out of the first exit fold as
+    /// `f32::min` drops it. (Where the two can differ, in the sign of a
+    /// zero, only `<=` reads the result.) Padding lanes are empty, so
+    /// they never hit. Every select is a bit blend, so the pass
+    /// compiles to 4-wide vector code with no branch to mispredict.
+    #[inline]
+    pub fn hit_mask(&self, ray: &Ray, t_max: f32) -> u32 {
+        let orig = [ray.orig.x, ray.orig.y, ray.orig.z];
+        let inv = [ray.inv_dir.x, ray.inv_dir.y, ray.inv_dir.z];
+        let mut enter = [0.0f32; CHUNK_LANES];
+        let mut exit = [t_max; CHUNK_LANES];
+        for a in 0..3 {
+            let (lo, hi) = (&self.min[a], &self.max[a]);
+            for l in 0..CHUNK_LANES {
+                let t0 = (lo[l] - orig[a]) * inv[a];
+                let t1 = (hi[l] - orig[a]) * inv[a];
+                let ordered = !(t0.is_nan() | t1.is_nan());
+                let near = select(ordered, select(t0 < t1, t0, t1), f32::NEG_INFINITY);
+                let far = select(ordered, select(t0 > t1, t0, t1), f32::INFINITY);
+                let far = select(lo[l] > hi[l], f32::NEG_INFINITY, far);
+                enter[l] = select(enter[l] > near, enter[l], near);
+                exit[l] = select(exit[l] < far, exit[l], far);
+            }
+        }
+        let mut mask = 0;
+        for l in 0..CHUNK_LANES {
+            mask |= u32::from(enter[l] <= exit[l]) << l;
+        }
+        mask
+    }
+
+    /// Bit `l` set iff `self.bounds(l).contains(p)` (gather descent).
+    /// Padding lanes contain no point.
+    #[inline]
+    pub fn contains_mask(&self, p: Vec3) -> u32 {
+        let mut inside = [true; CHUNK_LANES];
+        for (a, pa) in [p.x, p.y, p.z].into_iter().enumerate() {
+            for (l, inside) in inside.iter_mut().enumerate() {
+                *inside &= (pa >= self.min[a][l]) & (pa <= self.max[a][l]);
+            }
+        }
+        let mut mask = 0;
+        for (l, &i) in inside.iter().enumerate() {
+            mask |= u32::from(i) << l;
+        }
+        mask
+    }
+}
+
+/// `if c { a } else { b }` as a bit blend, which the vectorizer keeps
+/// branch-free.
+#[inline(always)]
+fn select(c: bool, a: f32, b: f32) -> f32 {
+    let m = u32::from(c).wrapping_neg();
+    f32::from_bits((a.to_bits() & m) | (b.to_bits() & !m))
+}
+
 /// Payload of a serialized node.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeKind {
-    /// Internal node: up to six `(bounds, address)` child records.
+    /// Internal node: up to [`MAX_ARITY`] `(bounds, address)` child
+    /// records, held in slot order by the image's chunks from
+    /// `first_chunk` on ([`BvhImage::children`], [`BvhImage::chunks`]).
     Internal {
-        /// Child references in slot order.
-        children: Vec<ChildRef>,
+        /// Index of the node's first [`ChildChunk`].
+        first_chunk: u32,
+        /// Number of children.
+        children: u8,
     },
     /// Leaf node: one triangle primitive.
     Leaf {
@@ -60,8 +192,8 @@ pub enum NodeKind {
     },
 }
 
-/// A serialized node: its address plus payload.
-#[derive(Clone, Debug, PartialEq)]
+/// A serialized node: its address plus payload (16 bytes).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Node {
     /// Byte address of this node.
     pub addr: u64,
@@ -79,7 +211,8 @@ impl Node {
     }
 }
 
-/// The flattened BVH: nodes in address order plus the triangle array.
+/// The flattened BVH: nodes in address order, their child chunks, and
+/// the triangle array.
 ///
 /// # Examples
 ///
@@ -97,18 +230,21 @@ impl Node {
 pub struct BvhImage {
     /// Nodes sorted by ascending address (depth-first layout order).
     nodes: Vec<Node>,
-    root_addr: u64,
+    /// Every internal node's children, node by node in address order.
+    chunks: Vec<ChildChunk>,
     root_bounds: Aabb,
     /// The scene's triangles, referenced by leaf nodes.
     triangles: Vec<Triangle>,
     total_bytes: u64,
-    /// Dense addr→node-index table: slot `(addr - root_addr) /
-    /// LOOKUP_GRAIN` holds the index into `nodes`, or [`NO_NODE`].
-    /// Makes [`BvhImage::node_at`] O(1) on the traversal hot path.
+    /// Dense addr→node table: slot `(addr - root_addr) / LOOKUP_GRAIN`
+    /// holds the node's index into `nodes`, with [`INTERNAL_BIT`] set
+    /// for an internal node, or [`NO_NODE`]. Makes
+    /// [`BvhImage::node_at`] and [`BvhImage::locate`] O(1) on the
+    /// traversal hot path.
     lookup: Vec<u32>,
     /// Parent-pointer table, index-aligned with `nodes`: slot `i` holds
     /// the index of node `i`'s parent, or [`NO_NODE`] for the root.
-    /// Derived state like `lookup` (rebuilt by both construction paths,
+    /// Derived state like `lookup` (rebuilt by [`ImageBuilder::finish`],
     /// excluded from [`BvhImage::content_hash`]); backs the ray-path
     /// predictor's go-up-level fallback via [`BvhImage::parent_addr`].
     parents: Vec<u32>,
@@ -125,118 +261,31 @@ impl BvhImage {
     ///
     /// Panics if `wide` references triangles outside `triangles`.
     pub fn serialize(wide: &WideBvh, triangles: &[Triangle]) -> Self {
-        if wide.nodes.is_empty() {
-            return BvhImage {
-                nodes: Vec::new(),
-                root_addr: HEAP_BASE,
-                root_bounds: Aabb::empty(),
-                triangles: triangles.to_vec(),
-                total_bytes: 0,
-                lookup: Vec::new(),
-                parents: Vec::new(),
-            };
-        }
-        // First pass: assign addresses in preorder.
-        let mut addr_of = vec![0u64; wide.nodes.len()];
-        let mut cursor = HEAP_BASE;
-        assign_addrs(wide, wide.root, &mut addr_of, &mut cursor);
-
-        // Second pass: emit nodes in preorder (ascending address).
-        let mut nodes = Vec::with_capacity(wide.nodes.len());
-        emit(wide, wide.root, &addr_of, triangles, &mut nodes);
-        debug_assert!(nodes.windows(2).all(|w| w[0].addr < w[1].addr));
-
-        // Third pass: the dense addr→index table for O(1) node lookup.
-        let total_bytes = cursor - HEAP_BASE;
-        let mut lookup = vec![NO_NODE; (total_bytes / LOOKUP_GRAIN) as usize];
-        for (i, node) in nodes.iter().enumerate() {
-            lookup[((node.addr - HEAP_BASE) / LOOKUP_GRAIN) as usize] = i as u32;
-        }
-
-        let parents = build_parents(&nodes, &lookup);
-        BvhImage {
-            nodes,
-            root_addr: addr_of[wide.root as usize],
-            root_bounds: wide.nodes[wide.root as usize].bounds(),
-            triangles: triangles.to_vec(),
-            total_bytes,
-            lookup,
-            parents,
-        }
-    }
-
-    /// Reconstructs an image from its externally-visible parts: the
-    /// node list (in address order), the root bounds, and the triangle
-    /// array. The inverse of walking [`BvhImage::iter`] — used by the
-    /// trace codec to rebuild a self-contained replay scene.
-    ///
-    /// The derived state (`total_bytes`, the O(1) address lookup table)
-    /// is recomputed, so a round trip through `from_parts` preserves
-    /// [`BvhImage::content_hash`] exactly.
-    ///
-    /// Returns an error instead of panicking if the node list is not a
-    /// packed layout starting at the heap base, a child address does
-    /// not start a node, or a leaf references a triangle out of range —
-    /// `from_parts` consumes decoded (possibly corrupt) data.
-    pub fn from_parts(
-        nodes: Vec<Node>,
-        root_bounds: Aabb,
-        triangles: Vec<Triangle>,
-    ) -> Result<Self, String> {
-        let mut cursor = HEAP_BASE;
-        for node in &nodes {
-            if node.addr != cursor {
-                return Err(format!(
-                    "node layout is not packed: expected address {cursor:#x}, found {:#x}",
-                    node.addr
-                ));
-            }
-            if let NodeKind::Leaf { triangle } = node.kind {
-                if triangle as usize >= triangles.len() {
-                    return Err(format!(
-                        "leaf at {:#x} references triangle {triangle} of {}",
-                        node.addr,
-                        triangles.len()
-                    ));
-                }
-            }
-            cursor += node.size_bytes() as u64;
-        }
-        let total_bytes = cursor - HEAP_BASE;
-        let mut lookup = vec![NO_NODE; (total_bytes / LOOKUP_GRAIN) as usize];
-        for (i, node) in nodes.iter().enumerate() {
-            lookup[((node.addr - HEAP_BASE) / LOOKUP_GRAIN) as usize] = i as u32;
-        }
-        for node in &nodes {
-            if let NodeKind::Internal { children } = &node.kind {
-                for c in children {
-                    let offset = c.addr.wrapping_sub(HEAP_BASE);
-                    let slot = (offset / LOOKUP_GRAIN) as usize;
-                    if offset % LOOKUP_GRAIN != 0 || lookup.get(slot).is_none_or(|&i| i == NO_NODE)
-                    {
-                        return Err(format!(
-                            "internal node at {:#x} has dangling child address {:#x}",
-                            node.addr, c.addr
-                        ));
-                    }
-                }
-            }
-        }
-        let parents = build_parents(&nodes, &lookup);
-        Ok(BvhImage {
-            nodes,
-            root_addr: HEAP_BASE,
-            root_bounds,
-            triangles,
-            total_bytes,
-            lookup,
-            parents,
-        })
+        let chunks = wide
+            .nodes
+            .iter()
+            .map(|n| match n {
+                WideNode::Internal { children, .. } => children.len().div_ceil(CHUNK_LANES),
+                WideNode::Leaf { .. } => 0,
+            })
+            .sum();
+        let mut image = ImageBuilder::with_capacity(wide.nodes.len(), chunks);
+        let root_bounds = if wide.nodes.is_empty() {
+            Aabb::empty()
+        } else {
+            let mut addr_of = vec![0u64; wide.nodes.len()];
+            assign_addrs(wide, wide.root, &mut addr_of, &mut image.next_addr());
+            emit(wide, wide.root, &addr_of, &mut image, &mut Vec::new());
+            wide.nodes[wide.root as usize].bounds()
+        };
+        image
+            .finish(root_bounds, triangles.to_vec())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Address of the root node.
     pub fn root_addr(&self) -> u64 {
-        self.root_addr
+        HEAP_BASE
     }
 
     /// Bounds of the whole scene (the root AABB tested on traversal
@@ -245,24 +294,88 @@ impl BvhImage {
         self.root_bounds
     }
 
-    /// Looks up a node by its byte address.
-    ///
-    /// Returns `None` for addresses that do not start a node. O(1):
-    /// one indexed load into the dense table built at [`serialize`]
-    /// time — this sits on the traversal hot path, queried once per
-    /// node visit by both the CPU reference and the simulated RT unit.
-    ///
-    /// [`serialize`]: BvhImage::serialize
+    /// The lookup-table entry of the node starting at `addr`.
     #[inline]
-    pub fn node_at(&self, addr: u64) -> Option<&Node> {
+    fn entry(&self, addr: u64) -> Option<u32> {
         let offset = addr.checked_sub(HEAP_BASE)?;
         if offset % LOOKUP_GRAIN != 0 {
             return None;
         }
         match *self.lookup.get((offset / LOOKUP_GRAIN) as usize)? {
             NO_NODE => None,
-            i => Some(&self.nodes[i as usize]),
+            e => Some(e),
         }
+    }
+
+    /// Looks up a node by its byte address.
+    ///
+    /// Returns `None` for addresses that do not start a node. O(1):
+    /// one indexed load into the dense table built with the image —
+    /// this sits on the traversal hot path, queried once per node visit
+    /// by both the CPU reference and the simulated RT unit.
+    #[inline]
+    pub fn node_at(&self, addr: u64) -> Option<&Node> {
+        self.entry(addr)
+            .map(|e| &self.nodes[(e & !INTERNAL_BIT) as usize])
+    }
+
+    /// The node starting at `addr` as `(index, size in bytes)`, read
+    /// from the address table alone: the memory scheduler sizes a fetch
+    /// without loading the node. `None` for addresses that do not start
+    /// a node.
+    #[inline]
+    pub fn locate(&self, addr: u64) -> Option<(u32, u32)> {
+        self.entry(addr).map(|e| {
+            let size = if e & INTERNAL_BIT != 0 {
+                INTERNAL_NODE_BYTES
+            } else {
+                LEAF_NODE_BYTES
+            };
+            (e & !INTERNAL_BIT, size)
+        })
+    }
+
+    /// The node at `index` in address order (an index from
+    /// [`BvhImage::locate`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    #[inline]
+    pub fn node(&self, index: u32) -> &Node {
+        &self.nodes[index as usize]
+    }
+
+    /// The child chunks of `node` (none for a leaf).
+    #[inline]
+    pub fn chunks(&self, node: &Node) -> &[ChildChunk] {
+        match node.kind {
+            NodeKind::Internal {
+                first_chunk,
+                children,
+            } => {
+                let first = first_chunk as usize;
+                &self.chunks[first..first + usize::from(children).div_ceil(CHUNK_LANES)]
+            }
+            NodeKind::Leaf { .. } => &[],
+        }
+    }
+
+    /// The children of `node` in slot order (none for a leaf).
+    pub fn children<'a>(&'a self, node: &Node) -> impl Iterator<Item = ChildRef> + 'a {
+        let n = match node.kind {
+            NodeKind::Internal { children, .. } => usize::from(children),
+            NodeKind::Leaf { .. } => 0,
+        };
+        self.chunks(node)
+            .iter()
+            .flat_map(|chunk| {
+                (0..CHUNK_LANES).map(move |lane| ChildRef {
+                    addr: chunk.addr(lane),
+                    bounds: chunk.bounds(lane),
+                })
+            })
+            .take(n)
     }
 
     /// Address of the parent of the node at `addr`.
@@ -273,16 +386,10 @@ impl BvhImage {
     /// hits to a predicted subtree.
     #[inline]
     pub fn parent_addr(&self, addr: u64) -> Option<u64> {
-        let offset = addr.checked_sub(HEAP_BASE)?;
-        if offset % LOOKUP_GRAIN != 0 {
-            return None;
-        }
-        match *self.lookup.get((offset / LOOKUP_GRAIN) as usize)? {
+        let (i, _) = self.locate(addr)?;
+        match self.parents[i as usize] {
             NO_NODE => None,
-            i => match self.parents[i as usize] {
-                NO_NODE => None,
-                p => Some(self.nodes[p as usize].addr),
-            },
+            p => Some(self.nodes[p as usize].addr),
         }
     }
 
@@ -345,20 +452,20 @@ impl BvhImage {
     /// in responses and differential checks.
     pub fn content_hash(&self) -> u64 {
         let mut h = Fnv64::new();
-        h.write_u64(self.root_addr);
+        h.write_u64(self.root_addr());
         hash_aabb(&mut h, &self.root_bounds);
         h.write_u64(self.nodes.len() as u64);
         for node in &self.nodes {
             h.write_u64(node.addr);
-            match &node.kind {
+            match node.kind {
                 NodeKind::Leaf { triangle } => {
                     h.write_u64(0);
-                    h.write_u64(u64::from(*triangle));
+                    h.write_u64(u64::from(triangle));
                 }
-                NodeKind::Internal { children } => {
+                NodeKind::Internal { children, .. } => {
                     h.write_u64(1);
-                    h.write_u64(children.len() as u64);
-                    for c in children {
+                    h.write_u64(u64::from(children));
+                    for c in self.children(node) {
                         h.write_u64(c.addr);
                         hash_aabb(&mut h, &c.bounds);
                     }
@@ -375,6 +482,153 @@ impl BvhImage {
         }
         h.finish()
     }
+}
+
+/// Lays a [`BvhImage`] out node by node in address order: the inverse
+/// of walking [`BvhImage::iter`] with [`BvhImage::children`]. The trace
+/// codec rebuilds a self-contained replay scene with it, and
+/// [`BvhImage::serialize`] emits through it.
+///
+/// Addresses are implicit: each node starts where the previous one
+/// ended, from the heap base, so the layout is packed by construction.
+#[derive(Debug, Default)]
+pub struct ImageBuilder {
+    nodes: Vec<Node>,
+    chunks: Vec<ChildChunk>,
+    bytes: u64,
+}
+
+impl ImageBuilder {
+    /// An empty builder with room for `nodes` nodes and `chunks` child
+    /// chunks: sized exactly, the image's tables are allocated once.
+    pub fn with_capacity(nodes: usize, chunks: usize) -> Self {
+        ImageBuilder {
+            nodes: Vec::with_capacity(nodes),
+            chunks: Vec::with_capacity(chunks),
+            ..ImageBuilder::default()
+        }
+    }
+
+    /// Address the next node will get.
+    pub fn next_addr(&self) -> u64 {
+        HEAP_BASE + self.bytes
+    }
+
+    fn push(&mut self, kind: NodeKind, size: u32) {
+        self.nodes.push(Node {
+            addr: self.next_addr(),
+            kind,
+        });
+        self.bytes += u64::from(size);
+    }
+
+    /// Appends a leaf holding triangle `triangle`.
+    pub fn leaf(&mut self, triangle: u32) {
+        self.push(NodeKind::Leaf { triangle }, LEAF_NODE_BYTES);
+    }
+
+    /// Appends an internal node with `children` in slot order.
+    ///
+    /// # Errors
+    ///
+    /// Fails, appending nothing, on more than [`MAX_ARITY`] children or
+    /// a child address outside the heap's 32-bit offset range.
+    /// [`ImageBuilder::finish`] checks that every child address starts
+    /// a node.
+    pub fn internal(&mut self, children: &[ChildRef]) -> Result<(), String> {
+        let addr = self.next_addr();
+        if children.len() > MAX_ARITY {
+            return Err(format!(
+                "internal node at {addr:#x} has {} children, more than {MAX_ARITY}",
+                children.len()
+            ));
+        }
+        let mut offsets = [0u32; MAX_ARITY];
+        for (o, c) in offsets.iter_mut().zip(children) {
+            *o = c
+                .addr
+                .checked_sub(HEAP_BASE)
+                .and_then(|off| u32::try_from(off).ok())
+                .ok_or_else(|| dangling(addr, c.addr))?;
+        }
+        let first_chunk = self.chunks.len() as u32;
+        for (i, c) in children.iter().enumerate() {
+            if i % CHUNK_LANES == 0 {
+                self.chunks.push(ChildChunk::PADDING);
+            }
+            let chunk = self.chunks.last_mut().expect("pushed above");
+            chunk.set(i % CHUNK_LANES, offsets[i], &c.bounds);
+        }
+        self.push(
+            NodeKind::Internal {
+                first_chunk,
+                children: children.len() as u8,
+            },
+            INTERNAL_NODE_BYTES,
+        );
+        Ok(())
+    }
+
+    /// The finished image over `triangles`, with `root_bounds` as the
+    /// scene bounds. The derived state (`total_bytes`, the O(1) address
+    /// table, the parent table) is computed here.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error instead of panicking if a leaf references a
+    /// triangle out of range or a child address does not start a node:
+    /// the builder consumes decoded (possibly corrupt) data.
+    pub fn finish(self, root_bounds: Aabb, triangles: Vec<Triangle>) -> Result<BvhImage, String> {
+        let ImageBuilder {
+            nodes,
+            chunks,
+            bytes: total_bytes,
+        } = self;
+        if nodes.len() >= INTERNAL_BIT as usize {
+            return Err(format!("{} nodes overflow the address table", nodes.len()));
+        }
+        let mut lookup = vec![NO_NODE; (total_bytes / LOOKUP_GRAIN) as usize];
+        for (i, node) in nodes.iter().enumerate() {
+            let entry = match node.kind {
+                NodeKind::Leaf { triangle } => {
+                    if triangle as usize >= triangles.len() {
+                        return Err(format!(
+                            "leaf at {:#x} references triangle {triangle} of {}",
+                            node.addr,
+                            triangles.len()
+                        ));
+                    }
+                    i as u32
+                }
+                NodeKind::Internal { .. } => i as u32 | INTERNAL_BIT,
+            };
+            lookup[((node.addr - HEAP_BASE) / LOOKUP_GRAIN) as usize] = entry;
+        }
+        let mut image = BvhImage {
+            nodes,
+            chunks,
+            root_bounds,
+            triangles,
+            total_bytes,
+            lookup,
+            parents: Vec::new(),
+        };
+        let mut parents = vec![NO_NODE; image.nodes.len()];
+        for (i, node) in image.nodes.iter().enumerate() {
+            for c in image.children(node) {
+                let (child, _) = image
+                    .locate(c.addr)
+                    .ok_or_else(|| dangling(node.addr, c.addr))?;
+                parents[child as usize] = i as u32;
+            }
+        }
+        image.parents = parents;
+        Ok(image)
+    }
+}
+
+fn dangling(node: u64, child: u64) -> String {
+    format!("internal node at {node:#x} has dangling child address {child:#x}")
 }
 
 /// Minimal FNV-1a 64-bit hasher (the workspace carries no external
@@ -403,23 +657,6 @@ impl Fnv64 {
     }
 }
 
-/// Builds the parent-pointer table: every internal node claims its
-/// children. `lookup` maps child addresses to node indices, so the
-/// pass is O(nodes x arity).
-fn build_parents(nodes: &[Node], lookup: &[u32]) -> Vec<u32> {
-    let mut parents = vec![NO_NODE; nodes.len()];
-    for (i, node) in nodes.iter().enumerate() {
-        if let NodeKind::Internal { children } = &node.kind {
-            for c in children {
-                let slot = ((c.addr - HEAP_BASE) / LOOKUP_GRAIN) as usize;
-                let child_idx = lookup[slot] as usize;
-                parents[child_idx] = i as u32;
-            }
-        }
-    }
-    parents
-}
-
 fn hash_aabb(h: &mut Fnv64, aabb: &Aabb) {
     h.write_u32(aabb.min.x.to_bits());
     h.write_u32(aabb.min.y.to_bits());
@@ -437,12 +674,14 @@ impl<'a> IntoIterator for &'a BvhImage {
     }
 }
 
+/// Assigns every node of the subtree under `node` its address in
+/// depth-first preorder, from `cursor` on.
 fn assign_addrs(wide: &WideBvh, node: u32, addr_of: &mut [u64], cursor: &mut u64) {
     addr_of[node as usize] = *cursor;
     match &wide.nodes[node as usize] {
-        WideNode::Leaf { .. } => *cursor += LEAF_NODE_BYTES as u64,
+        WideNode::Leaf { .. } => *cursor += u64::from(LEAF_NODE_BYTES),
         WideNode::Internal { children, .. } => {
-            *cursor += INTERNAL_NODE_BYTES as u64;
+            *cursor += u64::from(INTERNAL_NODE_BYTES);
             for (c, _) in children {
                 assign_addrs(wide, *c, addr_of, cursor);
             }
@@ -450,35 +689,28 @@ fn assign_addrs(wide: &WideBvh, node: u32, addr_of: &mut [u64], cursor: &mut u64
     }
 }
 
-fn emit(wide: &WideBvh, node: u32, addr_of: &[u64], triangles: &[Triangle], out: &mut Vec<Node>) {
-    let addr = addr_of[node as usize];
+/// Appends `node` and its subtree in the preorder [`assign_addrs`]
+/// numbered; `refs` is scratch for one node's child records.
+fn emit(
+    wide: &WideBvh,
+    node: u32,
+    addr_of: &[u64],
+    out: &mut ImageBuilder,
+    refs: &mut Vec<ChildRef>,
+) {
+    debug_assert_eq!(out.next_addr(), addr_of[node as usize]);
     match &wide.nodes[node as usize] {
-        WideNode::Leaf { triangle, .. } => {
-            assert!(
-                (*triangle as usize) < triangles.len(),
-                "leaf references triangle {triangle} outside the scene"
-            );
-            out.push(Node {
-                addr,
-                kind: NodeKind::Leaf {
-                    triangle: *triangle,
-                },
-            });
-        }
+        WideNode::Leaf { triangle, .. } => out.leaf(*triangle),
         WideNode::Internal { children, .. } => {
-            let refs = children
-                .iter()
-                .map(|(c, b)| ChildRef {
-                    addr: addr_of[*c as usize],
-                    bounds: *b,
-                })
-                .collect();
-            out.push(Node {
-                addr,
-                kind: NodeKind::Internal { children: refs },
-            });
+            refs.clear();
+            refs.extend(children.iter().map(|(c, b)| ChildRef {
+                addr: addr_of[*c as usize],
+                bounds: *b,
+            }));
+            out.internal(refs)
+                .expect("a wide node has at most MAX_ARITY children");
             for (c, _) in children {
-                emit(wide, *c, addr_of, triangles, out);
+                emit(wide, *c, addr_of, out, refs);
             }
         }
     }
@@ -488,7 +720,8 @@ fn emit(wide: &WideBvh, node: u32, addr_of: &[u64], triangles: &[Triangle], out:
 mod tests {
     use super::*;
     use crate::build_binary;
-    use cooprt_math::Vec3;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn image_of(n: usize) -> BvhImage {
         let tris: Vec<Triangle> = (0..n)
@@ -498,6 +731,28 @@ mod tests {
             })
             .collect();
         BvhImage::serialize(&WideBvh::from_binary(&build_binary(&tris)), &tris)
+    }
+
+    /// Lays `img`'s nodes out again through an [`ImageBuilder`], as the
+    /// trace codec does, with `edit` applied to each internal node's
+    /// children first.
+    fn rebuild(
+        img: &BvhImage,
+        triangles: Vec<Triangle>,
+        mut edit: impl FnMut(&mut Vec<ChildRef>),
+    ) -> Result<BvhImage, String> {
+        let mut b = ImageBuilder::default();
+        for node in img {
+            match node.kind {
+                NodeKind::Leaf { triangle } => b.leaf(triangle),
+                NodeKind::Internal { .. } => {
+                    let mut children: Vec<ChildRef> = img.children(node).collect();
+                    edit(&mut children);
+                    b.internal(&children)?;
+                }
+            }
+        }
+        b.finish(img.root_bounds(), triangles)
     }
 
     #[test]
@@ -547,15 +802,13 @@ mod tests {
     fn child_addresses_resolve_to_nodes() {
         let img = image_of(30);
         for node in &img {
-            if let NodeKind::Internal { children } = &node.kind {
-                for c in children {
-                    let child = img.node_at(c.addr).expect("dangling child address");
-                    // Parent-stored bounds must contain the child's own
-                    // geometry (exactly equal for leaves).
-                    if let NodeKind::Leaf { triangle } = child.kind {
-                        let t = img.triangle(triangle);
-                        assert!(c.bounds.contains(t.v0));
-                    }
+            for c in img.children(node) {
+                let child = img.node_at(c.addr).expect("dangling child address");
+                // Parent-stored bounds must contain the child's own
+                // geometry (exactly equal for leaves).
+                if let NodeKind::Leaf { triangle } = child.kind {
+                    let t = img.triangle(triangle);
+                    assert!(c.bounds.contains(t.v0));
                 }
             }
         }
@@ -601,15 +854,10 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_roundtrips_content_hash() {
+    fn builder_roundtrips_content_hash() {
         for n in [0usize, 1, 7, 25] {
             let img = image_of(n);
-            let rebuilt = BvhImage::from_parts(
-                img.iter().cloned().collect(),
-                img.root_bounds(),
-                img.triangles().to_vec(),
-            )
-            .unwrap();
+            let rebuilt = rebuild(&img, img.triangles().to_vec(), |_| {}).unwrap();
             assert_eq!(rebuilt.content_hash(), img.content_hash(), "n = {n}");
             assert_eq!(rebuilt.total_bytes(), img.total_bytes());
             assert_eq!(rebuilt.root_addr(), img.root_addr());
@@ -620,40 +868,37 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_rejects_unpacked_layouts() {
+    fn builder_rejects_more_children_than_a_wide_node_has() {
         let img = image_of(9);
-        let mut nodes: Vec<Node> = img.iter().cloned().collect();
-        nodes[1].addr += 16;
-        let err =
-            BvhImage::from_parts(nodes, img.root_bounds(), img.triangles().to_vec()).unwrap_err();
-        assert!(err.contains("not packed"), "{err}");
+        let err = rebuild(&img, img.triangles().to_vec(), |children| {
+            let extra = children[0];
+            children.resize(MAX_ARITY + 1, extra);
+        })
+        .unwrap_err();
+        assert!(err.contains("more than"), "{err}");
     }
 
     #[test]
-    fn from_parts_rejects_out_of_range_triangles() {
+    fn builder_rejects_out_of_range_triangles() {
         let img = image_of(9);
-        let err = BvhImage::from_parts(
-            img.iter().cloned().collect(),
-            img.root_bounds(),
-            img.triangles()[..4].to_vec(),
-        )
-        .unwrap_err();
+        let err = rebuild(&img, img.triangles()[..4].to_vec(), |_| {}).unwrap_err();
         assert!(err.contains("triangle"), "{err}");
     }
 
     #[test]
-    fn from_parts_rejects_dangling_children() {
+    fn builder_rejects_dangling_children() {
         let img = image_of(9);
-        let mut nodes: Vec<Node> = img.iter().cloned().collect();
-        for node in &mut nodes {
-            if let NodeKind::Internal { children } = &mut node.kind {
-                children[0].addr = HEAP_BASE + img.total_bytes() + 160;
-                break;
-            }
+        let past_the_end = HEAP_BASE + img.total_bytes() + 160;
+        for bad in [past_the_end, HEAP_BASE + 8, HEAP_BASE - 16, u64::MAX] {
+            let mut first = true;
+            let err = rebuild(&img, img.triangles().to_vec(), |children| {
+                if std::mem::take(&mut first) {
+                    children[0].addr = bad;
+                }
+            })
+            .unwrap_err();
+            assert!(err.contains("dangling"), "{bad:#x}: {err}");
         }
-        let err =
-            BvhImage::from_parts(nodes, img.root_bounds(), img.triangles().to_vec()).unwrap_err();
-        assert!(err.contains("dangling"), "{err}");
     }
 
     #[test]
@@ -665,11 +910,9 @@ mod tests {
         // stores the child reference.
         let mut children_seen = 0;
         for node in &img {
-            if let NodeKind::Internal { children } = &node.kind {
-                for c in children {
-                    assert_eq!(img.parent_addr(c.addr), Some(node.addr));
-                    children_seen += 1;
-                }
+            for c in img.children(node) {
+                assert_eq!(img.parent_addr(c.addr), Some(node.addr));
+                children_seen += 1;
             }
         }
         assert_eq!(
@@ -698,18 +941,163 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_rebuilds_the_parent_table() {
+    fn builder_rebuilds_the_parent_table() {
         let img = image_of(25);
-        let rebuilt = BvhImage::from_parts(
-            img.iter().cloned().collect(),
-            img.root_bounds(),
-            img.triangles().to_vec(),
-        )
-        .unwrap();
+        let rebuilt = rebuild(&img, img.triangles().to_vec(), |_| {}).unwrap();
         for node in &img {
             assert_eq!(rebuilt.parent_addr(node.addr), img.parent_addr(node.addr));
             assert_eq!(rebuilt.depth_of(node.addr), img.depth_of(node.addr));
         }
+    }
+
+    /// A coordinate from a palette of the slab test's edge cases (signed
+    /// zeros, infinities, NaN) or a small random value.
+    fn edge_coord(rng: &mut StdRng) -> f32 {
+        match rng.random_range(0u32..10) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.0,
+            3 => -1.0,
+            4 => f32::INFINITY,
+            5 => f32::NEG_INFINITY,
+            6 => f32::NAN,
+            _ => rng.random_range(-2.0f32..2.0),
+        }
+    }
+
+    /// A box with corners in `[-4, 4)` and extents in `[0, 3)`; the
+    /// adversarial ones are inverted (empty) on one axis, flat, or
+    /// drawn from [`edge_coord`].
+    fn random_box(rng: &mut StdRng, adversarial: bool) -> Aabb {
+        let mut min = [0.0f32; 3];
+        let mut max = [0.0f32; 3];
+        for a in 0..3 {
+            min[a] = rng.random_range(-4.0f32..4.0);
+            max[a] = min[a] + rng.random_range(0.0f32..3.0);
+        }
+        if adversarial {
+            let a = rng.random_range(0usize..3);
+            match rng.random_range(0u32..4) {
+                0 => std::mem::swap(&mut min[a], &mut max[a]),
+                1 => max[a] = min[a],
+                2 => (min[a], max[a]) = (edge_coord(rng), edge_coord(rng)),
+                _ => {
+                    for a in 0..3 {
+                        (min[a], max[a]) = (edge_coord(rng), edge_coord(rng));
+                    }
+                }
+            }
+        }
+        Aabb {
+            min: Vec3::new(min[0], min[1], min[2]),
+            max: Vec3::new(max[0], max[1], max[2]),
+        }
+    }
+
+    /// A ray at `boxes`: its origin in `[-6, 6)`, aimed at a point of a
+    /// random box. The adversarial ones put the origin on a box's slab
+    /// plane with a zero (or negative-zero) direction component there,
+    /// or draw origin and direction from [`edge_coord`]; their
+    /// `inv_dir` is the plain reciprocal, as [`Ray::new`] computes it.
+    fn random_ray(rng: &mut StdRng, boxes: &[Aabb], adversarial: bool) -> Ray {
+        let mut orig = Vec3::new(
+            rng.random_range(-6.0f32..6.0),
+            rng.random_range(-6.0f32..6.0),
+            rng.random_range(-6.0f32..6.0),
+        );
+        let target = boxes[rng.random_range(0..boxes.len())].centroid();
+        let mut dir = target - orig;
+        if adversarial {
+            let b = boxes[rng.random_range(0..boxes.len())];
+            let plane = if rng.random_range(0u32..2) == 0 {
+                b.min
+            } else {
+                b.max
+            };
+            let zero = if rng.random_range(0u32..2) == 0 {
+                0.0
+            } else {
+                -0.0
+            };
+            match rng.random_range(0u32..4) {
+                0 => (orig.x, dir.x) = (plane.x, zero),
+                1 => (orig.y, dir.y) = (plane.y, zero),
+                2 => (orig.z, dir.z) = (plane.z, zero),
+                _ => {
+                    orig = Vec3::new(edge_coord(rng), edge_coord(rng), edge_coord(rng));
+                    dir = Vec3::new(edge_coord(rng), edge_coord(rng), edge_coord(rng));
+                }
+            }
+        }
+        Ray {
+            orig,
+            dir,
+            inv_dir: dir.recip(),
+        }
+    }
+
+    fn aabb_bits(b: &Aabb) -> [u32; 6] {
+        [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z].map(f32::to_bits)
+    }
+
+    #[test]
+    fn chunk_masks_equal_the_scalar_tests_lane_by_lane() {
+        let mut rng = StdRng::seed_from_u64(0x0c40_04b5);
+        let (mut hits, mut misses) = (0, 0);
+        for case in 0..40_000 {
+            let adversarial = case % 2 == 1;
+            let n = rng.random_range(2usize..MAX_ARITY + 1);
+            let boxes: Vec<Aabb> = (0..n).map(|_| random_box(&mut rng, adversarial)).collect();
+            let mut chunks = [ChildChunk::PADDING; 2];
+            for (i, b) in boxes.iter().enumerate() {
+                chunks[i / CHUNK_LANES].set(i % CHUNK_LANES, 16 * i as u32, b);
+            }
+            let ray = random_ray(&mut rng, &boxes, adversarial);
+            let t_max = match rng.random_range(0u32..5) {
+                0 => 0.0,
+                1 => f32::INFINITY,
+                2 if adversarial => edge_coord(&mut rng),
+                _ => rng.random_range(0.0f32..12.0),
+            };
+            for (c, chunk) in chunks.iter().enumerate() {
+                let (hit, inside) = (chunk.hit_mask(&ray, t_max), chunk.contains_mask(ray.orig));
+                for lane in 0..CHUNK_LANES {
+                    let (got_hit, got_inside) = (hit >> lane & 1 == 1, inside >> lane & 1 == 1);
+                    let Some(b) = boxes.get(c * CHUNK_LANES + lane) else {
+                        assert!(
+                            !got_hit && !got_inside,
+                            "case {case}: padding lane {lane} hit"
+                        );
+                        continue;
+                    };
+                    assert_eq!(aabb_bits(&chunk.bounds(lane)), aabb_bits(b), "case {case}");
+                    let want = b.intersect(&ray, t_max).is_some();
+                    assert_eq!(got_hit, want, "case {case}: {b:?} {ray:?} t_max {t_max}");
+                    assert_eq!(
+                        got_inside,
+                        b.contains(ray.orig),
+                        "case {case}: {b:?} {ray:?}"
+                    );
+                    if want {
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                    }
+                }
+            }
+        }
+        // Both outcomes must be well represented for the check to mean
+        // anything.
+        assert!(
+            hits > 20_000 && misses > 20_000,
+            "{hits} hits, {misses} misses"
+        );
+    }
+
+    #[test]
+    fn nodes_and_chunks_have_their_documented_sizes() {
+        assert_eq!(std::mem::size_of::<Node>(), 16);
+        assert_eq!(std::mem::size_of::<ChildChunk>(), 112);
     }
 
     #[test]

@@ -46,6 +46,9 @@ pub mod traverse;
 mod wide;
 
 pub use builder::{build_binary, build_binary_median, BinaryBvh, BinaryNode};
-pub use image::{BvhImage, ChildRef, Node, NodeKind, INTERNAL_NODE_BYTES, LEAF_NODE_BYTES};
+pub use image::{
+    BvhImage, ChildChunk, ChildRef, ImageBuilder, Node, NodeKind, CHUNK_LANES, INTERNAL_NODE_BYTES,
+    LEAF_NODE_BYTES,
+};
 pub use stats::TreeStats;
 pub use wide::{WideBvh, WideNode, MAX_ARITY};

@@ -83,9 +83,9 @@ impl Traverser {
             let node = image
                 .node_at(addr)
                 .expect("stack holds valid node addresses");
-            match &node.kind {
-                NodeKind::Internal { children } => {
-                    for child in children {
+            match node.kind {
+                NodeKind::Internal { .. } => {
+                    for child in image.children(node) {
                         counters.box_tests += 1;
                         if child.bounds.intersect(ray, min_thit).is_some() {
                             stack.push(child.addr);
@@ -95,11 +95,11 @@ impl Traverser {
                 }
                 NodeKind::Leaf { triangle } => {
                     counters.triangle_tests += 1;
-                    if let Some(h) = image.triangle(*triangle).intersect(ray, f32::INFINITY) {
-                        if accepts(h.t, *triangle, min_thit, &best) {
+                    if let Some(h) = image.triangle(triangle).intersect(ray, f32::INFINITY) {
+                        if accepts(h.t, triangle, min_thit, &best) {
                             min_thit = h.t;
                             best = Some(PrimHit {
-                                triangle: *triangle,
+                                triangle,
                                 t: h.t,
                                 u: h.u,
                                 v: h.v,
@@ -123,16 +123,16 @@ impl Traverser {
             let node = image
                 .node_at(addr)
                 .expect("stack holds valid node addresses");
-            match &node.kind {
-                NodeKind::Internal { children } => {
-                    for child in children {
+            match node.kind {
+                NodeKind::Internal { .. } => {
+                    for child in image.children(node) {
                         if child.bounds.intersect(ray, t_max).is_some() {
                             stack.push(child.addr);
                         }
                     }
                 }
                 NodeKind::Leaf { triangle } => {
-                    if image.triangle(*triangle).intersect(ray, t_max).is_some() {
+                    if image.triangle(triangle).intersect(ray, t_max).is_some() {
                         stack.clear();
                         return true;
                     }

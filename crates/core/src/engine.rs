@@ -416,10 +416,12 @@ impl<'s> Simulation<'s> {
     /// alongside every per-sample [`FrameResult`].
     ///
     /// Samples are simulated concurrently on the worker count from
-    /// [`crate::parallel::threads`] (the `COOPRT_THREADS` knob). Each
-    /// sample is an independent single-threaded engine, and the
-    /// accumulation happens in ascending sample order afterwards, so
-    /// the result is bitwise identical to the sequential path.
+    /// [`crate::parallel::threads`] (the `COOPRT_THREADS` knob), which
+    /// is read only when `spp > 1`: one sample runs on the calling
+    /// thread. Each sample is an independent single-threaded engine,
+    /// and the accumulation happens in ascending sample order
+    /// afterwards, so the result is bitwise identical to the sequential
+    /// path.
     ///
     /// Counter hygiene: each per-sample [`FrameResult`] carries
     /// per-frame counters only. Every statistics family
@@ -442,7 +444,12 @@ impl<'s> Simulation<'s> {
         height: usize,
         spp: u32,
     ) -> Result<(Vec<Rgb>, Vec<FrameResult>), ConfigError> {
-        self.run_accumulated_with_threads(kind, width, height, spp, crate::parallel::threads())
+        let threads = if spp > 1 {
+            crate::parallel::threads()
+        } else {
+            1
+        };
+        self.run_accumulated_with_threads(kind, width, height, spp, threads)
     }
 
     /// [`Simulation::run_accumulated`] with an explicit worker count
@@ -773,10 +780,53 @@ struct Warp {
     wait_since: u64,
 }
 
+/// One SM: its RT unit, its queued and running warps, and the phase
+/// summary that gates its phase loop.
+///
+/// `due` and `waiting` summarize the running warps' phases: the
+/// earliest Raygen/Shade deadline (`u64::MAX` for none) and the number
+/// of warps in WaitRt. The phase loop recomputes both whenever it runs,
+/// and [`Engine::retire_warp`] lowers `due` when it starts a Shade; no
+/// other code changes a running warp's phase.
+///
+/// The gate rests on one invariant: *a warp that stays in WaitRt across
+/// steps holds a ray.* A warp enters WaitRt only inside a phase-loop
+/// run (a Raygen or Shade deadline fell due) or at activation (which
+/// runs the loop), and that same run either finishes it (no lane has a
+/// ray) or leaves it waiting with a ray. Its lanes' rays change only
+/// when its own trace retires, which needs InRt. So between runs, a
+/// waiting warp can only move when the RT unit has a free slot.
 struct Sm {
     rt: RtUnit,
     queue: VecDeque<usize>,
     running: Vec<usize>,
+    /// Earliest Raygen/Shade `until` over the running warps.
+    due: u64,
+    /// Running warps in WaitRt.
+    waiting: usize,
+}
+
+impl Sm {
+    /// The phase summary derived from the running warps: what the
+    /// cached `due` and `waiting` must equal between steps.
+    fn derive_phase_summary(&self, warps: &[Warp]) -> (u64, usize) {
+        let (mut due, mut waiting) = (u64::MAX, 0);
+        for &w in &self.running {
+            match warps[w].phase {
+                Phase::Raygen { until } | Phase::Shade { until } => due = due.min(until),
+                Phase::WaitRt => waiting += 1,
+                Phase::InRt | Phase::Done => {}
+            }
+        }
+        (due, waiting)
+    }
+
+    /// True if the phase loop can change a warp this step: a deadline
+    /// is due, or a waiting warp can take a free warp-buffer slot. (A
+    /// step that activates a warp runs the loop too.)
+    fn phase_due(&self, now: u64) -> bool {
+        self.due <= now || (self.waiting > 0 && self.rt.has_free_slot())
+    }
 }
 
 struct Engine<'s> {
@@ -851,6 +901,8 @@ impl<'s> Engine<'s> {
                 rt: RtUnit::new(i, &cfg, sim.policy),
                 queue: VecDeque::new(),
                 running: Vec::new(),
+                due: u64::MAX,
+                waiting: 0,
             })
             .collect();
         let mem = MemoryHierarchy::new(&cfg.mem);
@@ -1044,10 +1096,12 @@ impl<'s> Engine<'s> {
                 continue;
             }
             // Activate queued thread blocks up to the per-SM limit.
+            let mut activated = false;
             while self.sms[sm_idx].running.len() < self.cfg.max_tbs_per_sm {
                 let Some(w) = self.sms[sm_idx].queue.pop_front() else {
                     break;
                 };
+                activated = true;
                 self.warps[w].started = now;
                 self.probe.emit(now, || EventKind::WarpIssue {
                     sm: sm_idx as u32,
@@ -1065,51 +1119,11 @@ impl<'s> Engine<'s> {
                 self.sms[sm_idx].running.push(w);
             }
 
-            // Phase transitions; `reap` notes a warp that finished.
-            let mut reap = false;
-            for i in 0..self.sms[sm_idx].running.len() {
-                let w = self.sms[sm_idx].running[i];
-                match self.warps[w].phase {
-                    Phase::Raygen { until } if until <= now => {
-                        self.warps[w].phase = Phase::WaitRt;
-                        self.warps[w].wait_since = now;
-                    }
-                    Phase::Shade { until } if until <= now => {
-                        if !self.warps[w].one_shot && self.any_ray(w) {
-                            self.warps[w].phase = Phase::WaitRt;
-                            self.warps[w].wait_since = now;
-                        } else {
-                            self.warps[w].phase = Phase::Done;
-                            self.warps[w].finished = now;
-                            reap = true;
-                        }
-                    }
-                    _ => {}
-                }
-                if self.warps[w].phase == Phase::WaitRt {
-                    if !self.any_ray(w) {
-                        // Nothing to trace (can happen for fully masked
-                        // warps): skip straight to done.
-                        self.warps[w].phase = Phase::Done;
-                        self.warps[w].finished = now;
-                        reap = true;
-                    } else if self.sms[sm_idx].rt.has_free_slot() {
-                        let query = self.build_query(w);
-                        self.recorder.record_issue(
-                            sm_idx as u32,
-                            w as u32,
-                            self.warps[w].iteration,
-                            &self.warps[w].members,
-                            &query,
-                        );
-                        let ok = self.sms[sm_idx]
-                            .rt
-                            .issue(query, now, self.scene, &mut self.probe);
-                        debug_assert!(ok);
-                        self.warps[w].phase = Phase::InRt;
-                    }
-                }
-            }
+            // Phase transitions; `reap` notes a warp that finished. The
+            // loop runs only when it can change a warp (see `Sm`); the
+            // dense reference runs it on every step.
+            let reap = (self.dense || activated || self.sms[sm_idx].phase_due(now))
+                && self.phase_loop(sm_idx, now);
 
             // RT unit cycle.
             self.sms[sm_idx].rt.step(
@@ -1122,7 +1136,7 @@ impl<'s> Engine<'s> {
             );
             let retired = std::mem::take(&mut self.retired_buf);
             for res in &retired {
-                self.retire_warp(res, now);
+                self.retire_warp(sm_idx, res, now);
             }
             self.retired_buf = retired;
             self.retired_buf.clear();
@@ -1149,6 +1163,20 @@ impl<'s> Engine<'s> {
                 finished += before - self.sms[sm_idx].running.len();
             }
 
+            // The phase summary must match the warps it summarizes.
+            let (sm, warps) = (&self.sms[sm_idx], &self.warps);
+            let cached = (sm.due, sm.waiting);
+            self.probe.check(
+                now,
+                || cached == sm.derive_phase_summary(warps),
+                || {
+                    format!(
+                        "SM {sm_idx}: phase summary (due, waiting) is {cached:?}, its warps give {:?}",
+                        sm.derive_phase_summary(warps)
+                    )
+                },
+            );
+
             // Refresh this SM's next-event cache now that its step is
             // complete; it stays valid until the SM is stepped again.
             // The dense reference steps every SM anyway and never
@@ -1170,6 +1198,60 @@ impl<'s> Engine<'s> {
         finished
     }
 
+    /// Moves SM `sm_idx`'s running warps through their due phase
+    /// changes, issuing `trace_ray`s into free warp-buffer slots, and
+    /// recomputes the SM's phase summary. Returns true if a warp
+    /// finished.
+    fn phase_loop(&mut self, sm_idx: usize, now: u64) -> bool {
+        let mut reap = false;
+        for i in 0..self.sms[sm_idx].running.len() {
+            let w = self.sms[sm_idx].running[i];
+            match self.warps[w].phase {
+                Phase::Raygen { until } if until <= now => {
+                    self.warps[w].phase = Phase::WaitRt;
+                    self.warps[w].wait_since = now;
+                }
+                Phase::Shade { until } if until <= now => {
+                    if !self.warps[w].one_shot && self.any_ray(w) {
+                        self.warps[w].phase = Phase::WaitRt;
+                        self.warps[w].wait_since = now;
+                    } else {
+                        self.warps[w].phase = Phase::Done;
+                        self.warps[w].finished = now;
+                        reap = true;
+                    }
+                }
+                _ => {}
+            }
+            if self.warps[w].phase == Phase::WaitRt {
+                if !self.any_ray(w) {
+                    // Nothing to trace (can happen for fully masked
+                    // warps): skip straight to done.
+                    self.warps[w].phase = Phase::Done;
+                    self.warps[w].finished = now;
+                    reap = true;
+                } else if self.sms[sm_idx].rt.has_free_slot() {
+                    let query = self.build_query(w);
+                    self.recorder.record_issue(
+                        sm_idx as u32,
+                        w as u32,
+                        self.warps[w].iteration,
+                        &self.warps[w].members,
+                        &query,
+                    );
+                    let ok = self.sms[sm_idx]
+                        .rt
+                        .issue(query, now, self.scene, &mut self.probe);
+                    debug_assert!(ok);
+                    self.warps[w].phase = Phase::InRt;
+                }
+            }
+        }
+        let sm = &mut self.sms[sm_idx];
+        (sm.due, sm.waiting) = sm.derive_phase_summary(&self.warps);
+        reap
+    }
+
     fn build_query(&mut self, w: usize) -> TraceQuery {
         let warp = &self.warps[w];
         let mut rays = [None; WARP_SIZE];
@@ -1188,7 +1270,9 @@ impl<'s> Engine<'s> {
         }
     }
 
-    fn retire_warp(&mut self, res: &TraceResult, now: u64) {
+    /// Hands warp `res.warp`'s trace results to its threads and starts
+    /// its Shade phase on SM `sm_idx`.
+    fn retire_warp(&mut self, sm_idx: usize, res: &TraceResult, now: u64) {
         let w = res.warp;
         self.trace_latencies
             .record(res.retired_at.saturating_sub(res.issued_at));
@@ -1215,6 +1299,8 @@ impl<'s> Engine<'s> {
         self.stalls.alu += self.cfg.shade_alu_cycles;
         self.stalls.sfu += self.cfg.shade_sfu_cycles;
         warp.phase = Phase::Shade { until: now + shade };
+        let sm = &mut self.sms[sm_idx];
+        sm.due = sm.due.min(now + shade);
     }
 
     /// Earliest cycle (> `now`) at which SM `sm_idx` can act, or
@@ -1224,18 +1310,10 @@ impl<'s> Engine<'s> {
         if !sm.queue.is_empty() && sm.running.len() < self.cfg.max_tbs_per_sm {
             return now + 1;
         }
-        let mut next = u64::MAX;
-        for &w in &sm.running {
-            match self.warps[w].phase {
-                Phase::Raygen { until } | Phase::Shade { until } => {
-                    next = next.min(until.max(now + 1));
-                }
-                Phase::WaitRt if sm.rt.has_free_slot() => {
-                    return now + 1;
-                }
-                _ => {}
-            }
+        if sm.waiting > 0 && sm.rt.has_free_slot() {
+            return now + 1;
         }
+        let mut next = sm.due.max(now + 1);
         if let Some(t) = sm.rt.next_event(now + 1) {
             next = next.min(t.max(now + 1));
         }

@@ -22,7 +22,7 @@
 use crate::config::{GpuConfig, TraversalPolicy, WARP_SIZE};
 use crate::lbu::{find_pairs, has_pair, LbuPair};
 use crate::predictor::{PredictPolicy, PredictorStats, RayPathPredictor};
-use cooprt_bvh::NodeKind;
+use cooprt_bvh::{Node, NodeKind};
 use cooprt_gpu::{EnergyEvents, MemoryHierarchy};
 use cooprt_math::Ray;
 use cooprt_scenes::Scene;
@@ -111,7 +111,8 @@ impl StatusCounts {
     }
 }
 
-/// "No outstanding fetch" sentinel in [`ThreadArray::pending`].
+/// "No outstanding fetch" sentinel in [`ThreadArray::pending`], and
+/// "empty stack" in [`ThreadArray::top`].
 const NO_PENDING: u64 = u64::MAX;
 
 /// Cycles one ray-path prediction-table probe keeps a lane's math units
@@ -154,6 +155,9 @@ struct PredictState {
 struct ThreadArray {
     /// Traversal stack per thread (DFS: the top is the back).
     stacks: Vec<Vec<u64>>,
+    /// Each stack's top ([`NO_PENDING`] = empty), so coalescing reads
+    /// one array instead of 32 stacks.
+    top: [u64; WARP_SIZE],
     /// Outstanding fetch address per thread ([`NO_PENDING`] = none).
     pending: [u64; WARP_SIZE],
     /// Cycle each thread's math units are free again.
@@ -171,6 +175,7 @@ impl ThreadArray {
     fn new() -> Self {
         ThreadArray {
             stacks: (0..WARP_SIZE).map(|_| Vec::new()).collect(),
+            top: [NO_PENDING; WARP_SIZE],
             pending: [NO_PENDING; WARP_SIZE],
             ready_at: [0; WARP_SIZE],
             main_tid: std::array::from_fn(|i| i as u8),
@@ -185,6 +190,7 @@ impl ThreadArray {
         for s in &mut self.stacks {
             s.clear();
         }
+        self.top = [NO_PENDING; WARP_SIZE];
         self.pending = [NO_PENDING; WARP_SIZE];
         self.ready_at = [0; WARP_SIZE];
         for (i, m) in self.main_tid.iter_mut().enumerate() {
@@ -206,26 +212,27 @@ impl ThreadArray {
 
     fn push(&mut self, tid: usize, node: u64) {
         self.stacks[tid].push(node);
+        self.top[tid] = node;
         self.nonempty |= 1 << tid;
-    }
-
-    /// The node thread `tid` would process next: its top of stack.
-    fn peek_next(&self, tid: usize) -> Option<u64> {
-        self.stacks[tid].last().copied()
     }
 
     /// Removes and returns thread `tid`'s top of stack: the node it
     /// processes next, and the node the LBU steals from it (§4.2).
     fn pop_next(&mut self, tid: usize) -> Option<u64> {
         let node = self.stacks[tid].pop();
-        if self.stacks[tid].is_empty() {
-            self.nonempty &= !(1 << tid);
+        match self.stacks[tid].last() {
+            Some(&next) => self.top[tid] = next,
+            None => {
+                self.top[tid] = NO_PENDING;
+                self.nonempty &= !(1 << tid);
+            }
         }
         node
     }
 
     fn clear_stack(&mut self, tid: usize) {
         self.stacks[tid].clear();
+        self.top[tid] = NO_PENDING;
         self.nonempty &= !(1 << tid);
     }
 
@@ -296,6 +303,64 @@ impl SlotSummary {
     };
 }
 
+/// A pending memory response in 16 bytes: from high bits to low, the
+/// cycle it is ready, its issue sequence number, its warp-buffer slot
+/// and the fetched node's index in the BVH image. Keys order by
+/// `(ready, seq)`, as the unpacked tuple did: `seq` is unique, so the
+/// fields below it never decide.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct ResponseKey(u128);
+
+impl ResponseKey {
+    const READY_BITS: u32 = 44;
+    const SEQ_BITS: u32 = 36;
+    const SLOT_BITS: u32 = 16;
+    const NODE_BITS: u32 = 32;
+
+    /// Packs a response.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a field exceeds its bits: a frame past 2^44 cycles or
+    /// 2^36 fetches on one unit, or a warp buffer of more than 2^16
+    /// entries, fails loudly instead of reordering responses.
+    fn new(ready: u64, seq: u64, slot: usize, node: u32) -> Self {
+        assert!(
+            ready >> Self::READY_BITS == 0,
+            "response ready cycle {ready} overflows {} bits",
+            Self::READY_BITS
+        );
+        assert!(
+            seq >> Self::SEQ_BITS == 0,
+            "response sequence number {seq} overflows {} bits",
+            Self::SEQ_BITS
+        );
+        assert!(
+            slot >> Self::SLOT_BITS == 0,
+            "warp-buffer slot {slot} overflows {} bits",
+            Self::SLOT_BITS
+        );
+        ResponseKey(
+            u128::from(ready) << (Self::SEQ_BITS + Self::SLOT_BITS + Self::NODE_BITS)
+                | u128::from(seq) << (Self::SLOT_BITS + Self::NODE_BITS)
+                | (slot as u128) << Self::NODE_BITS
+                | u128::from(node),
+        )
+    }
+
+    fn ready(self) -> u64 {
+        (self.0 >> (Self::SEQ_BITS + Self::SLOT_BITS + Self::NODE_BITS)) as u64
+    }
+
+    fn slot(self) -> usize {
+        (self.0 >> Self::NODE_BITS) as usize & ((1 << Self::SLOT_BITS) - 1)
+    }
+
+    fn node(self) -> u32 {
+        self.0 as u32
+    }
+}
+
 /// The RT unit of one SM.
 #[derive(Clone, Debug)]
 pub struct RtUnit {
@@ -310,11 +375,10 @@ pub struct RtUnit {
     summary: Vec<SlotSummary>,
     /// Number of occupied slots.
     occupied: usize,
-    /// Pending memory responses as `(ready, seq, slot, addr)`, earliest
-    /// first. `seq` is the unit's issue count at the fetch, so
-    /// responses due in the same cycle pop in the order they were
-    /// issued.
-    responses: BinaryHeap<Reverse<(u64, u64, usize, u64)>>,
+    /// Pending memory responses, earliest first. `seq` is the unit's
+    /// issue count at the fetch, so responses due in the same cycle pop
+    /// in the order they were issued.
+    responses: BinaryHeap<Reverse<ResponseKey>>,
     /// Fetches issued so far: the next response's `seq`.
     issued: u64,
     rr: usize,
@@ -708,16 +772,17 @@ impl RtUnit {
         if self
             .responses
             .peek()
-            .is_some_and(|&Reverse((ready, ..))| ready <= now)
+            .is_some_and(|&Reverse(key)| key.ready() <= now)
         {
-            let Reverse((_, _, slot, addr)) = self.responses.pop().expect("peeked");
+            let Reverse(key) = self.responses.pop().expect("peeked");
+            let (slot, node) = (key.slot(), scene.image.node(key.node()));
             let sm = self.sm_id;
             probe.emit(now, || EventKind::ResponsePop {
                 sm: sm as u32,
-                addr,
+                addr: node.addr,
             });
             let before = self.candidates(slot);
-            self.process_response((slot, addr), now, mem, scene, cfg, probe);
+            self.process_response((slot, node), now, mem, scene, cfg, probe);
             self.update(slot, before);
         }
 
@@ -778,7 +843,7 @@ impl RtUnit {
         let mut earliest = self
             .responses
             .peek()
-            .map(|&Reverse((ready, ..))| ready.max(now));
+            .map(|&Reverse(key)| key.ready().max(now));
         for s in &self.summary {
             // A pairable slot can move an LBU node, and a drained one
             // retires, right away.
@@ -851,7 +916,7 @@ impl RtUnit {
             let tid = m.trailing_zeros() as usize;
             m &= m - 1;
             if slot.threads.ready_at[tid] <= now {
-                addr = slot.threads.peek_next(tid);
+                addr = Some(slot.threads.top[tid]);
                 break;
             }
         }
@@ -863,7 +928,7 @@ impl RtUnit {
         while m != 0 {
             let tid = m.trailing_zeros() as usize;
             m &= m - 1;
-            if slot.threads.ready_at[tid] <= now && slot.threads.peek_next(tid) == Some(addr) {
+            if slot.threads.ready_at[tid] <= now && slot.threads.top[tid] == addr {
                 slot.threads.pop_next(tid);
                 slot.threads.set_pending(tid, addr);
                 self.events.stack_ops += 1;
@@ -879,11 +944,10 @@ impl RtUnit {
         // under CoopRT, brings it up to date.
         self.summary[slot_idx].ready = rest;
         let warp = slot.warp as u32;
-        let bytes = scene
+        let (node, bytes) = scene
             .image
-            .node_at(addr)
-            .expect("traversal stacks hold valid node addresses")
-            .size_bytes();
+            .locate(addr)
+            .expect("traversal stacks hold valid node addresses");
         let sm = self.sm_id;
         let ready = mem.access_probed(sm, addr, bytes, now, probe);
         probe.check(
@@ -895,8 +959,12 @@ impl RtUnit {
                 )
             },
         );
-        self.responses
-            .push(Reverse((ready, self.issued, slot_idx, addr)));
+        self.responses.push(Reverse(ResponseKey::new(
+            ready,
+            self.issued,
+            slot_idx,
+            node,
+        )));
         self.issued += 1;
         probe.emit(now, || EventKind::NodeFetch {
             sm: sm as u32,
@@ -907,11 +975,11 @@ impl RtUnit {
         });
     }
 
-    /// Delivers the fetched node of a `(slot, addr)` response to every
+    /// Delivers the fetched node of a `(slot, node)` response to every
     /// thread waiting on it.
     fn process_response(
         &mut self,
-        (slot_idx, addr): (usize, u64),
+        (slot_idx, node): (usize, &Node),
         now: u64,
         mem: &mut MemoryHierarchy,
         scene: &Scene,
@@ -921,10 +989,8 @@ impl RtUnit {
         let Some(slot) = self.slots[slot_idx].as_mut() else {
             return;
         };
-        let node = scene
-            .image
-            .node_at(addr)
-            .expect("response for a valid node");
+        let addr = node.addr;
+        let chunks = scene.image.chunks(node);
         let mut pm = slot.threads.pending_mask;
         while pm != 0 {
             let tid = pm.trailing_zeros() as usize;
@@ -939,50 +1005,48 @@ impl RtUnit {
                 continue; // Any-hit already satisfied for this ray.
             }
             let ray = slot.rays[mt].expect("main thread owns a ray");
-            match &node.kind {
-                NodeKind::Internal { children } => {
+            match node.kind {
+                NodeKind::Internal { children, .. } => {
+                    self.events.box_tests += u64::from(children);
                     // A go-up restart re-fetches the drained node's
                     // parent; the restart trail marks the child whose
                     // subtree was already searched so it is tested but
                     // never re-descended.
-                    let skip =
-                        slot.predict[mt].and_then(
-                            |ps| {
-                                if ps.level == addr {
-                                    ps.skip
-                                } else {
-                                    None
-                                }
-                            },
-                        );
-                    for child in children {
-                        self.events.box_tests += 1;
-                        if Some(child.addr) == skip {
-                            continue;
-                        }
-                        let limit = if cfg.node_elimination {
-                            slot.min_thit[mt]
-                        } else {
-                            f32::INFINITY
-                        };
+                    let skip = if slot.predict_live > 0 {
+                        slot.predict[mt]
+                            .filter(|ps| ps.level == addr)
+                            .and_then(|ps| ps.skip)
+                    } else {
+                        None
+                    };
+                    let limit = if cfg.node_elimination {
+                        slot.min_thit[mt]
+                    } else {
+                        f32::INFINITY
+                    };
+                    for chunk in chunks {
                         // Gather: descend every child whose box contains
                         // the query point (node elimination cannot apply
                         // — there is no shrinking t interval).
-                        let descend = if slot.gather {
-                            child.bounds.contains(ray.orig)
+                        let mut hits = if slot.gather {
+                            chunk.contains_mask(ray.orig)
                         } else {
-                            child.bounds.intersect(&ray, limit).is_some()
+                            chunk.hit_mask(&ray, limit)
                         };
-                        if descend {
-                            slot.threads.push(tid, child.addr);
+                        while hits != 0 {
+                            let child = chunk.addr(hits.trailing_zeros() as usize);
+                            hits &= hits - 1;
+                            if Some(child) == skip {
+                                continue;
+                            }
+                            slot.threads.push(tid, child);
                             self.events.stack_ops += 1;
                             if cfg.prefetch_children {
-                                let bytes = scene
+                                let (_, bytes) = scene
                                     .image
-                                    .node_at(child.addr)
-                                    .expect("child addresses are valid")
-                                    .size_bytes();
-                                mem.prefetch(self.sm_id, child.addr, bytes, now, probe);
+                                    .locate(child)
+                                    .expect("child addresses are valid");
+                                mem.prefetch(self.sm_id, child, bytes, now, probe);
                             }
                         }
                     }
@@ -994,8 +1058,8 @@ impl RtUnit {
                         // AABB containing the query point makes it a
                         // candidate. Credited to the ray's owner lane so
                         // LBU-stolen work lands on the right query.
-                        if scene.image.triangle(*triangle).bounds().contains(ray.orig) {
-                            slot.gathered.push((mt as u8, *triangle));
+                        if scene.image.triangle(triangle).bounds().contains(ray.orig) {
+                            slot.gathered.push((mt as u8, triangle));
                         }
                         continue;
                     }
@@ -1005,11 +1069,11 @@ impl RtUnit {
                     // tie between adjacent triangles at identical t.
                     let accept = scene
                         .image
-                        .triangle(*triangle)
+                        .triangle(triangle)
                         .intersect(&ray, f32::INFINITY)
                         .filter(|h| {
                             h.t < slot.min_thit[mt]
-                                || matches!(slot.best[mt], Some(b) if h.t == b.t && *triangle < b.triangle)
+                                || matches!(slot.best[mt], Some(b) if h.t == b.t && triangle < b.triangle)
                         });
                     if let Some(h) = accept {
                         let prev = slot.min_thit[mt];
@@ -1020,10 +1084,7 @@ impl RtUnit {
                             || format!("thread {mt} min_thit increased from {prev} to {t}"),
                         );
                         slot.min_thit[mt] = h.t;
-                        slot.best[mt] = Some(RayHit {
-                            triangle: *triangle,
-                            t: h.t,
-                        });
+                        slot.best[mt] = Some(RayHit { triangle, t: h.t });
                         if slot.any_hit {
                             // Ray-path table learns from the accepted
                             // occluder: future similar rays enter the
@@ -1175,6 +1236,61 @@ mod tests {
 
     fn mem() -> MemoryHierarchy {
         MemoryHierarchy::new(&MemoryConfig::rtx2060_like(1))
+    }
+
+    #[test]
+    fn response_keys_pop_in_ready_then_seq_order_and_unpack_exactly() {
+        let max_ready = (1u64 << ResponseKey::READY_BITS) - 1;
+        let max_seq = (1u64 << ResponseKey::SEQ_BITS) - 1;
+        let max_slot = (1usize << ResponseKey::SLOT_BITS) - 1;
+        // (ready, seq, slot, node): the slot and node fields must never
+        // decide the order, so they run against it.
+        let fields = [
+            (7, 3, max_slot, u32::MAX),
+            (7, 4, 0, 0),
+            (0, 9, 5, 17),
+            (max_ready, max_seq, max_slot, u32::MAX),
+            (7, 2, 1, 1),
+            (max_ready, 0, 0, 0),
+            (8, 0, 3, 2),
+        ];
+        let mut heap: BinaryHeap<_> = fields
+            .iter()
+            .map(|&(r, q, s, n)| Reverse(ResponseKey::new(r, q, s, n)))
+            .collect();
+        let mut popped = Vec::new();
+        while let Some(Reverse(key)) = heap.pop() {
+            let field = fields
+                .iter()
+                .find(|f| ResponseKey::new(f.0, f.1, f.2, f.3) == key)
+                .expect("a pushed key");
+            assert_eq!(
+                (key.ready(), key.slot(), key.node()),
+                (field.0, field.2, field.3)
+            );
+            popped.push((field.0, field.1));
+        }
+        let mut want: Vec<(u64, u64)> = fields.iter().map(|f| (f.0, f.1)).collect();
+        want.sort_unstable();
+        assert_eq!(popped, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "response ready cycle")]
+    fn a_response_key_rejects_a_ready_cycle_past_its_bits() {
+        ResponseKey::new(1 << ResponseKey::READY_BITS, 0, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "response sequence number")]
+    fn a_response_key_rejects_a_sequence_number_past_its_bits() {
+        ResponseKey::new(0, 1 << ResponseKey::SEQ_BITS, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "warp-buffer slot")]
+    fn a_response_key_rejects_a_slot_past_its_bits() {
+        ResponseKey::new(0, 0, 1 << ResponseKey::SLOT_BITS, 0);
     }
 
     /// Issues `query` at cycle 0 outside any observed frame.

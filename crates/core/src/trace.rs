@@ -63,7 +63,7 @@ use crate::config::{GpuConfig, TraversalPolicy};
 use crate::engine::{ConfigError, FrameResult, Simulation};
 use crate::rtunit::TraceQuery;
 use crate::shader::ShaderKind;
-use cooprt_bvh::{BvhImage, ChildRef, Node, NodeKind};
+use cooprt_bvh::{BvhImage, ChildRef, ImageBuilder, NodeKind, CHUNK_LANES};
 use cooprt_math::{Aabb, Ray, Rgb, Triangle, Vec3};
 use cooprt_scenes::Scene;
 use std::sync::{Arc, Mutex};
@@ -469,15 +469,15 @@ impl Trace {
         w.put_varint(base);
         w.put_varint(self.bvh.node_count() as u64);
         for node in &self.bvh {
-            match &node.kind {
+            match node.kind {
                 NodeKind::Leaf { triangle } => {
                     w.put_u8(0);
-                    w.put_varint(u64::from(*triangle));
+                    w.put_varint(u64::from(triangle));
                 }
-                NodeKind::Internal { children } => {
+                NodeKind::Internal { children, .. } => {
                     w.put_u8(1);
-                    w.put_varint(children.len() as u64);
-                    for c in children {
+                    w.put_varint(u64::from(children));
+                    for c in self.bvh.children(node) {
                         w.put_varint(c.addr - base);
                         put_aabb(&mut w, &c.bounds);
                     }
@@ -586,31 +586,33 @@ impl Trace {
         // BVH.
         let base = r.read_varint()?;
         let node_count = read_count(&mut r, "node count")?;
-        let mut nodes = Vec::with_capacity(node_count);
-        let mut addr = base;
+        let mut nodes =
+            ImageBuilder::with_capacity(node_count, count_chunks(r.clone(), node_count)?);
+        if base != nodes.next_addr() {
+            return Err(TraceError::Corrupt(format!(
+                "node layout is not packed: expected address {:#x}, found {base:#x}",
+                nodes.next_addr()
+            )));
+        }
+        let mut children = Vec::new();
         for _ in 0..node_count {
-            let kind = match r.read_u8()? {
-                0 => NodeKind::Leaf {
-                    triangle: read_u32(&mut r, "leaf triangle")?,
-                },
+            match r.read_u8()? {
+                0 => nodes.leaf(read_u32(&mut r, "leaf triangle")?),
                 1 => {
                     let n = read_count(&mut r, "child count")?;
-                    let mut children = Vec::with_capacity(n);
+                    children.clear();
                     for _ in 0..n {
                         let offset = r.read_varint()?;
                         let bounds = read_aabb(&mut r)?;
                         children.push(ChildRef {
-                            addr: base + offset,
+                            addr: base.wrapping_add(offset),
                             bounds,
                         });
                     }
-                    NodeKind::Internal { children }
+                    nodes.internal(&children).map_err(TraceError::Corrupt)?;
                 }
                 t => return Err(TraceError::Corrupt(format!("unknown node tag {t}"))),
-            };
-            let node = Node { addr, kind };
-            addr += u64::from(node.size_bytes());
-            nodes.push(node);
+            }
         }
         let root_bounds = read_aabb(&mut r)?;
         let triangle_count = read_count(&mut r, "triangle count")?;
@@ -622,8 +624,9 @@ impl Trace {
                 read_vec3(&mut r)?,
             ));
         }
-        let bvh =
-            BvhImage::from_parts(nodes, root_bounds, triangles).map_err(TraceError::Corrupt)?;
+        let bvh = nodes
+            .finish(root_bounds, triangles)
+            .map_err(TraceError::Corrupt)?;
         if bvh.content_hash() != scene_hash {
             return Err(TraceError::Corrupt(format!(
                 "embedded BVH hashes to {:#018x}, header says {scene_hash:#018x}",
@@ -750,7 +753,7 @@ impl TraceWriter {
 
 /// Binary decoder over a byte slice; every read returns a typed
 /// [`TraceError`] instead of panicking on truncated or malformed input.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct TraceReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -884,6 +887,26 @@ fn read_vec3(r: &mut TraceReader<'_>) -> Result<Vec3, TraceError> {
 fn put_aabb(w: &mut TraceWriter, aabb: &Aabb) {
     put_vec3(w, aabb.min);
     put_vec3(w, aabb.max);
+}
+
+/// Counts the child chunks of the `node_count` node records ahead of
+/// `r`, a dry run of [`Trace::decode`]'s node loop, so the image's chunk
+/// table is allocated once at its final size.
+fn count_chunks(mut r: TraceReader<'_>, node_count: usize) -> Result<usize, TraceError> {
+    let mut chunks = 0;
+    for _ in 0..node_count {
+        if r.read_u8()? == 1 {
+            let n = read_count(&mut r, "child count")?;
+            chunks += n.div_ceil(CHUNK_LANES);
+            for _ in 0..n {
+                r.read_varint()?;
+                read_aabb(&mut r)?;
+            }
+        } else {
+            r.read_varint()?;
+        }
+    }
+    Ok(chunks)
 }
 
 fn read_aabb(r: &mut TraceReader<'_>) -> Result<Aabb, TraceError> {

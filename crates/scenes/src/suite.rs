@@ -802,6 +802,71 @@ impl std::fmt::Display for SceneId {
 mod tests {
     use super::*;
 
+    /// `BvhImage::content_hash` of every scene at detail 4 and at the
+    /// default detail 32, as recorded before internal nodes stored their
+    /// children in chunks. The hash is serve's `bvh_hash` and a trace
+    /// header field, so a change of layout must leave it alone.
+    const CONTENT_HASHES: [(u32, [(SceneId, u64); 19]); 2] = [
+        (
+            4,
+            [
+                (SceneId::Wknd, 0xe29bb3f92d5a3d9f),
+                (SceneId::Ship, 0x2a510c5cecbdbdeb),
+                (SceneId::Bunny, 0x738f8aa25a72552f),
+                (SceneId::Spnza, 0x65125539715a84ea),
+                (SceneId::Chsnt, 0x2034a164faf6da06),
+                (SceneId::Bath, 0x1d356785002b4184),
+                (SceneId::Ref, 0x88906dcb995df7ff),
+                (SceneId::Crnvl, 0x347d07c03c432834),
+                (SceneId::Fox, 0x4a9968944c0fd61a),
+                (SceneId::Party, 0x30d893a3edb28f56),
+                (SceneId::Sprng, 0x7df370f80729200d),
+                (SceneId::Lands, 0x1f048b515d6eb64f),
+                (SceneId::Frst, 0xa0b37410bb87b2c9),
+                (SceneId::Car, 0x7e588f075ebc52fe),
+                (SceneId::Robot, 0x5ef22ae060a886c8),
+                (SceneId::Quni, 0xb1cb048db71b888f),
+                (SceneId::Qclu, 0xc2ab448cea09ec24),
+                (SceneId::Qsrf, 0x94f8163c7aaa17dd),
+                (SceneId::Qamr, 0x5c0815e4286e2cc0),
+            ],
+        ),
+        (
+            32,
+            [
+                (SceneId::Wknd, 0xa9e92a348bed16f0),
+                (SceneId::Ship, 0xde3ac95363225912),
+                (SceneId::Bunny, 0xd1838b0a9ce700e2),
+                (SceneId::Spnza, 0xdd20a88c9ca66f40),
+                (SceneId::Chsnt, 0xff0b6e0915458cf8),
+                (SceneId::Bath, 0x29cd2db5bd69c51e),
+                (SceneId::Ref, 0x041ae8e7a66695f8),
+                (SceneId::Crnvl, 0x1964bf15e45beb50),
+                (SceneId::Fox, 0xf8ce504ba238cb45),
+                (SceneId::Party, 0x52ee69749fde377d),
+                (SceneId::Sprng, 0x3e614922de43554c),
+                (SceneId::Lands, 0xf1424e4f01768404),
+                (SceneId::Frst, 0xe81aa8b99943ac20),
+                (SceneId::Car, 0x7c683120f2d1a42d),
+                (SceneId::Robot, 0x6d1c686bd5a12d9c),
+                (SceneId::Quni, 0xba407a744968cfc9),
+                (SceneId::Qclu, 0x12b247568ca66134),
+                (SceneId::Qsrf, 0xb36a6192bf77dcfe),
+                (SceneId::Qamr, 0xdc6b287a530b3969),
+            ],
+        ),
+    ];
+
+    #[test]
+    fn content_hashes_are_pinned() {
+        for (detail, pins) in CONTENT_HASHES {
+            for (id, want) in pins {
+                let got = id.build(detail).image.content_hash();
+                assert_eq!(got, want, "{id} at detail {detail}: {got:#018x}");
+            }
+        }
+    }
+
     #[test]
     fn all_scenes_build_and_are_nonempty() {
         for id in ALL_SCENES {

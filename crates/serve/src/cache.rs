@@ -4,9 +4,10 @@
 //!
 //! - [`SceneCache`]: `(scene, detail)` → built scene. Scene synthesis +
 //!   BVH construction dominates small-job latency, and every request
-//!   for the same scene reuses one immutable [`Scene`] behind an `Arc`.
-//!   The expensive build runs *outside* the cache lock, so concurrent
-//!   workers never serialize on a build.
+//!   for the same scene reuses one immutable [`Scene`] behind an `Arc`,
+//!   with its BVH's content hash computed once per build. The expensive
+//!   build runs *outside* the cache lock, so concurrent workers never
+//!   serialize on a build.
 //! - [`ResultCache`]: canonical-key hash → finished response body. A
 //!   hit returns the stored bytes verbatim, which is what makes the
 //!   "cache hits are bitwise identical to fresh runs" guarantee hold
@@ -89,10 +90,20 @@ impl<K: std::hash::Hash + Eq + Clone, V> FifoMap<K, V> {
     }
 }
 
+/// A built scene with its BVH's content hash.
+#[derive(Clone, Debug)]
+pub struct CachedScene {
+    /// The scene, shared by every request for it.
+    pub scene: Arc<Scene>,
+    /// `scene.image.content_hash()`, computed once when the scene was
+    /// built (a response's `bvh_hash`).
+    pub bvh_hash: u64,
+}
+
 /// `(scene, detail)` → built [`Scene`], bounded, FIFO-evicting.
 #[derive(Debug)]
 pub struct SceneCache {
-    map: Mutex<FifoMap<(SceneId, u32), Arc<Scene>>>,
+    map: Mutex<FifoMap<(SceneId, u32), CachedScene>>,
     stats: CacheStats,
 }
 
@@ -110,15 +121,19 @@ impl SceneCache {
     /// The build runs outside the lock; if two workers race on the same
     /// key, both build and the first insert wins — wasted work bounded
     /// by one build, never a stall of every other key behind the lock.
-    pub fn get_or_build(&self, id: SceneId, detail: u32) -> Arc<Scene> {
-        if let Some(scene) = self.lock().get(&(id, detail)).cloned() {
+    pub fn get_or_build(&self, id: SceneId, detail: u32) -> CachedScene {
+        if let Some(cached) = self.lock().get(&(id, detail)).cloned() {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            return scene;
+            return cached;
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(id.build(detail));
+        let scene = id.build(detail);
+        let built = CachedScene {
+            bvh_hash: scene.image.content_hash(),
+            scene: Arc::new(scene),
+        };
         let mut map = self.lock();
-        map.insert((id, detail), Arc::clone(&built));
+        map.insert((id, detail), built.clone());
         map.get(&(id, detail)).cloned().unwrap_or(built)
     }
 
@@ -137,7 +152,7 @@ impl SceneCache {
         &self.stats
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FifoMap<(SceneId, u32), Arc<Scene>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, FifoMap<(SceneId, u32), CachedScene>> {
         self.map.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -234,12 +249,19 @@ mod tests {
         let cache = SceneCache::new(2);
         let a = cache.get_or_build(SceneId::Wknd, 1);
         let b = cache.get_or_build(SceneId::Wknd, 1);
-        assert!(Arc::ptr_eq(&a, &b), "second request reuses the build");
+        assert!(
+            Arc::ptr_eq(&a.scene, &b.scene),
+            "second request reuses the build"
+        );
+        assert_eq!(a.bvh_hash, a.scene.image.content_hash());
+        assert_eq!(b.bvh_hash, a.bvh_hash);
         assert_eq!(cache.stats().hits(), 1);
         assert_eq!(cache.stats().misses(), 1);
         // A different detail level is a distinct entry.
         let c = cache.get_or_build(SceneId::Wknd, 2);
-        assert!(!Arc::ptr_eq(&a, &c));
+        assert!(!Arc::ptr_eq(&a.scene, &c.scene));
+        assert_eq!(c.bvh_hash, c.scene.image.content_hash());
+        assert_ne!(c.bvh_hash, a.bvh_hash);
         assert_eq!(cache.len(), 2);
     }
 }

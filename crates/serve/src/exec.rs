@@ -143,7 +143,8 @@ impl Executor {
             f.u64("id", request_id).str("key", format!("{key:016x}"));
         });
 
-        let scene = spans.time("scene", || self.scenes.get_or_build(req.scene, req.detail));
+        let cached = spans.time("scene", || self.scenes.get_or_build(req.scene, req.detail));
+        let scene = &cached.scene;
         let config = req
             .config
             .build()
@@ -155,7 +156,7 @@ impl Executor {
             Tracer::disabled()
         };
         tracer.emit(0, || EventKind::Request { id: request_id });
-        let sim = Simulation::new(&scene, &config, req.policy).with_tracer(tracer.clone());
+        let sim = Simulation::new(scene, &config, req.policy).with_tracer(tracer.clone());
         let run_start = Instant::now();
         let run = sim.run_accumulated(req.shader, req.width, req.height, req.spp);
         spans.record("engine_run", run_start, Instant::now());
@@ -176,7 +177,7 @@ impl Executor {
         w.field_str("reorder", req.reorder.label());
         w.field_str("predict", req.predict.label());
         w.field_str("config", &req.config.label().to_string());
-        w.field_str("bvh_hash", &format!("{:016x}", scene.image.content_hash()));
+        w.field_str("bvh_hash", &format!("{:016x}", cached.bvh_hash));
         w.field_u64("bvh_nodes", scene.image.node_count() as u64);
         w.field_u64("cycles", frames.iter().map(|f| f.cycles).sum());
         w.field_u64("rays", frames.iter().map(|f| f.rays).sum());

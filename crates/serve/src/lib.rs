@@ -56,7 +56,7 @@ pub mod queue;
 pub mod server;
 
 pub use api::{ConfigPreset, JobRequest};
-pub use cache::{fnv1a64, ResultCache, SceneCache};
+pub use cache::{fnv1a64, CachedScene, ResultCache, SceneCache};
 pub use client::{ClientResponse, HttpClient};
 pub use error::ServeError;
 pub use exec::{Endpoint, ExecOutcome, Executor};
