@@ -13,6 +13,7 @@
 
 use crate::{WideBvh, WideNode, MAX_ARITY};
 use cooprt_math::{Aabb, Ray, Triangle, Vec3};
+use std::sync::Arc;
 
 /// Size in bytes of an internal node record.
 ///
@@ -27,7 +28,7 @@ pub const INTERNAL_NODE_BYTES: u32 = 176;
 pub const LEAF_NODE_BYTES: u32 = 64;
 
 /// Children per [`ChildChunk`].
-pub const CHUNK_LANES: usize = 4;
+const CHUNK_LANES: usize = 4;
 
 /// Base address of the BVH heap in the simulated address space.
 const HEAP_BASE: u64 = 0x1000_0000;
@@ -214,6 +215,11 @@ impl Node {
 /// The flattened BVH: nodes in address order, their child chunks, and
 /// the triangle array.
 ///
+/// An image is immutable once built, and its clones share one set of
+/// tables: a scene, the traces recorded from it and every replay of
+/// those traces read the same memory, and cloning costs a reference
+/// count.
+///
 /// # Examples
 ///
 /// ```
@@ -228,6 +234,12 @@ impl Node {
 /// ```
 #[derive(Clone, Debug)]
 pub struct BvhImage {
+    tables: Arc<Tables>,
+}
+
+/// The tables a [`BvhImage`] and its clones share.
+#[derive(Debug)]
+struct Tables {
     /// Nodes sorted by ascending address (depth-first layout order).
     nodes: Vec<Node>,
     /// Every internal node's children, node by node in address order.
@@ -265,11 +277,12 @@ impl BvhImage {
             .nodes
             .iter()
             .map(|n| match n {
-                WideNode::Internal { children, .. } => children.len().div_ceil(CHUNK_LANES),
+                WideNode::Internal { children, .. } => chunks_for(children.len()),
                 WideNode::Leaf { .. } => 0,
             })
             .sum();
-        let mut image = ImageBuilder::with_capacity(wide.nodes.len(), chunks);
+        let mut image = ImageBuilder::with_capacity(wide.nodes.len());
+        image.chunks.reserve_exact(chunks);
         let root_bounds = if wide.nodes.is_empty() {
             Aabb::empty()
         } else {
@@ -291,7 +304,7 @@ impl BvhImage {
     /// Bounds of the whole scene (the root AABB tested on traversal
     /// entry, Algorithm 1 line 1).
     pub fn root_bounds(&self) -> Aabb {
-        self.root_bounds
+        self.tables.root_bounds
     }
 
     /// The lookup-table entry of the node starting at `addr`.
@@ -301,7 +314,7 @@ impl BvhImage {
         if offset % LOOKUP_GRAIN != 0 {
             return None;
         }
-        match *self.lookup.get((offset / LOOKUP_GRAIN) as usize)? {
+        match *self.tables.lookup.get((offset / LOOKUP_GRAIN) as usize)? {
             NO_NODE => None,
             e => Some(e),
         }
@@ -316,7 +329,7 @@ impl BvhImage {
     #[inline]
     pub fn node_at(&self, addr: u64) -> Option<&Node> {
         self.entry(addr)
-            .map(|e| &self.nodes[(e & !INTERNAL_BIT) as usize])
+            .map(|e| &self.tables.nodes[(e & !INTERNAL_BIT) as usize])
     }
 
     /// The node starting at `addr` as `(index, size in bytes)`, read
@@ -343,7 +356,7 @@ impl BvhImage {
     /// Panics if `index` is out of range.
     #[inline]
     pub fn node(&self, index: u32) -> &Node {
-        &self.nodes[index as usize]
+        &self.tables.nodes[index as usize]
     }
 
     /// The child chunks of `node` (none for a leaf).
@@ -355,7 +368,7 @@ impl BvhImage {
                 children,
             } => {
                 let first = first_chunk as usize;
-                &self.chunks[first..first + usize::from(children).div_ceil(CHUNK_LANES)]
+                &self.tables.chunks[first..first + chunks_for(usize::from(children))]
             }
             NodeKind::Leaf { .. } => &[],
         }
@@ -387,9 +400,9 @@ impl BvhImage {
     #[inline]
     pub fn parent_addr(&self, addr: u64) -> Option<u64> {
         let (i, _) = self.locate(addr)?;
-        match self.parents[i as usize] {
+        match self.tables.parents[i as usize] {
             NO_NODE => None,
-            p => Some(self.nodes[p as usize].addr),
+            p => Some(self.tables.nodes[p as usize].addr),
         }
     }
 
@@ -413,32 +426,32 @@ impl BvhImage {
     ///
     /// Panics if `index` is out of range.
     pub fn triangle(&self, index: u32) -> &Triangle {
-        &self.triangles[index as usize]
+        &self.tables.triangles[index as usize]
     }
 
     /// All triangles in the image.
     pub fn triangles(&self) -> &[Triangle] {
-        &self.triangles
+        &self.tables.triangles
     }
 
     /// Number of serialized nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.tables.nodes.len()
     }
 
     /// Iterates over the serialized nodes in address order.
     pub fn iter(&self) -> std::slice::Iter<'_, Node> {
-        self.nodes.iter()
+        self.tables.nodes.iter()
     }
 
     /// Total footprint of the node records in bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
+        self.tables.total_bytes
     }
 
     /// Total footprint in mebibytes (the paper's Table 2 unit).
     pub fn size_mib(&self) -> f64 {
-        self.total_bytes as f64 / (1024.0 * 1024.0)
+        self.tables.total_bytes as f64 / (1024.0 * 1024.0)
     }
 
     /// Content hash of the serialized image: FNV-1a 64 over every node
@@ -453,9 +466,9 @@ impl BvhImage {
     pub fn content_hash(&self) -> u64 {
         let mut h = Fnv64::new();
         h.write_u64(self.root_addr());
-        hash_aabb(&mut h, &self.root_bounds);
-        h.write_u64(self.nodes.len() as u64);
-        for node in &self.nodes {
+        hash_aabb(&mut h, &self.tables.root_bounds);
+        h.write_u64(self.tables.nodes.len() as u64);
+        for node in &self.tables.nodes {
             h.write_u64(node.addr);
             match node.kind {
                 NodeKind::Leaf { triangle } => {
@@ -472,8 +485,8 @@ impl BvhImage {
                 }
             }
         }
-        h.write_u64(self.triangles.len() as u64);
-        for t in &self.triangles {
+        h.write_u64(self.tables.triangles.len() as u64);
+        for t in &self.tables.triangles {
             for v in [t.v0, t.v1, t.v2] {
                 h.write_u32(v.x.to_bits());
                 h.write_u32(v.y.to_bits());
@@ -499,12 +512,10 @@ pub struct ImageBuilder {
 }
 
 impl ImageBuilder {
-    /// An empty builder with room for `nodes` nodes and `chunks` child
-    /// chunks: sized exactly, the image's tables are allocated once.
-    pub fn with_capacity(nodes: usize, chunks: usize) -> Self {
+    /// An empty builder with room for `nodes` nodes.
+    pub fn with_capacity(nodes: usize) -> Self {
         ImageBuilder {
             nodes: Vec::with_capacity(nodes),
-            chunks: Vec::with_capacity(chunks),
             ..ImageBuilder::default()
         }
     }
@@ -605,16 +616,18 @@ impl ImageBuilder {
             lookup[((node.addr - HEAP_BASE) / LOOKUP_GRAIN) as usize] = entry;
         }
         let mut image = BvhImage {
-            nodes,
-            chunks,
-            root_bounds,
-            triangles,
-            total_bytes,
-            lookup,
-            parents: Vec::new(),
+            tables: Arc::new(Tables {
+                nodes,
+                chunks,
+                root_bounds,
+                triangles,
+                total_bytes,
+                lookup,
+                parents: Vec::new(),
+            }),
         };
-        let mut parents = vec![NO_NODE; image.nodes.len()];
-        for (i, node) in image.nodes.iter().enumerate() {
+        let mut parents = vec![NO_NODE; image.node_count()];
+        for (i, node) in image.iter().enumerate() {
             for c in image.children(node) {
                 let (child, _) = image
                     .locate(c.addr)
@@ -622,9 +635,16 @@ impl ImageBuilder {
                 parents[child as usize] = i as u32;
             }
         }
-        image.parents = parents;
+        Arc::get_mut(&mut image.tables)
+            .expect("a new image is not shared")
+            .parents = parents;
         Ok(image)
     }
+}
+
+/// The number of [`ChildChunk`]s that hold `children` children.
+fn chunks_for(children: usize) -> usize {
+    children.div_ceil(CHUNK_LANES)
 }
 
 fn dangling(node: u64, child: u64) -> String {

@@ -47,7 +47,7 @@ mod wide;
 
 pub use builder::{build_binary, build_binary_median, BinaryBvh, BinaryNode};
 pub use image::{
-    BvhImage, ChildChunk, ChildRef, ImageBuilder, Node, NodeKind, CHUNK_LANES, INTERNAL_NODE_BYTES,
+    BvhImage, ChildChunk, ChildRef, ImageBuilder, Node, NodeKind, INTERNAL_NODE_BYTES,
     LEAF_NODE_BYTES,
 };
 pub use stats::TreeStats;

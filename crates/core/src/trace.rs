@@ -63,7 +63,7 @@ use crate::config::{GpuConfig, TraversalPolicy};
 use crate::engine::{ConfigError, FrameResult, Simulation};
 use crate::rtunit::TraceQuery;
 use crate::shader::ShaderKind;
-use cooprt_bvh::{BvhImage, ChildRef, ImageBuilder, NodeKind, CHUNK_LANES};
+use cooprt_bvh::{BvhImage, ChildRef, ImageBuilder, NodeKind};
 use cooprt_math::{Aabb, Ray, Rgb, Triangle, Vec3};
 use cooprt_scenes::Scene;
 use std::sync::{Arc, Mutex};
@@ -586,8 +586,7 @@ impl Trace {
         // BVH.
         let base = r.read_varint()?;
         let node_count = read_count(&mut r, "node count")?;
-        let mut nodes =
-            ImageBuilder::with_capacity(node_count, count_chunks(r.clone(), node_count)?);
+        let mut nodes = ImageBuilder::with_capacity(node_count);
         if base != nodes.next_addr() {
             return Err(TraceError::Corrupt(format!(
                 "node layout is not packed: expected address {:#x}, found {base:#x}",
@@ -753,7 +752,7 @@ impl TraceWriter {
 
 /// Binary decoder over a byte slice; every read returns a typed
 /// [`TraceError`] instead of panicking on truncated or malformed input.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct TraceReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -887,26 +886,6 @@ fn read_vec3(r: &mut TraceReader<'_>) -> Result<Vec3, TraceError> {
 fn put_aabb(w: &mut TraceWriter, aabb: &Aabb) {
     put_vec3(w, aabb.min);
     put_vec3(w, aabb.max);
-}
-
-/// Counts the child chunks of the `node_count` node records ahead of
-/// `r`, a dry run of [`Trace::decode`]'s node loop, so the image's chunk
-/// table is allocated once at its final size.
-fn count_chunks(mut r: TraceReader<'_>, node_count: usize) -> Result<usize, TraceError> {
-    let mut chunks = 0;
-    for _ in 0..node_count {
-        if r.read_u8()? == 1 {
-            let n = read_count(&mut r, "child count")?;
-            chunks += n.div_ceil(CHUNK_LANES);
-            for _ in 0..n {
-                r.read_varint()?;
-                read_aabb(&mut r)?;
-            }
-        } else {
-            r.read_varint()?;
-        }
-    }
-    Ok(chunks)
 }
 
 fn read_aabb(r: &mut TraceReader<'_>) -> Result<Aabb, TraceError> {
@@ -1137,6 +1116,45 @@ mod tests {
             Trace::decode(b"CPRT"),
             Err(TraceError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn a_bvh_base_off_the_heap_base_is_not_packed() {
+        let (_, trace) = record_small(
+            SceneId::Wknd,
+            TraversalPolicy::Baseline,
+            ShaderKind::PathTrace,
+        );
+        let mut bytes = trace.encode();
+        // Walk the header up to the BVH section's base address.
+        let mut r = TraceReader::new(&bytes[4..]);
+        r.read_varint().unwrap(); // version
+        r.read_str().unwrap(); // scene name
+        r.read_varint().unwrap(); // detail
+        r.read_varint().unwrap(); // scene hash
+        r.read_u8().unwrap(); // shader kind
+        for _ in 0..5 {
+            r.read_varint().unwrap(); // width, height, salt, bounces, AO samples
+        }
+        r.read_f32().unwrap(); // AO radius
+        r.read_varint().unwrap(); // SH samples
+        let at = 4 + r.position();
+        assert_eq!(r.read_varint().unwrap(), trace.bvh.root_addr());
+        let len = 4 + r.position() - at;
+        // Move the base by one node grain, at the same encoded length,
+        // and seal the body with a valid checksum, so only the layout
+        // check can reject it.
+        let mut w = TraceWriter::new();
+        w.put_varint(trace.bvh.root_addr() + 16);
+        assert_eq!(w.bytes().len(), len);
+        bytes[at..at + len].copy_from_slice(w.bytes());
+        let footer = bytes.len() - 8;
+        let checksum = fnv64(&bytes[4..footer]);
+        bytes[footer..].copy_from_slice(&checksum.to_le_bytes());
+        match Trace::decode(&bytes).err() {
+            Some(TraceError::Corrupt(msg)) => assert!(msg.contains("not packed"), "{msg}"),
+            other => panic!("expected a layout error, got {other:?}"),
+        }
     }
 
     #[test]
